@@ -21,8 +21,6 @@ Both arms replay byte-identical arrival traces from one seeded
 
 Reported per class: offered/completed and p99 under both arms, plus
 fleet-level throughput, swap/thrash counts, and residency utilization.
-Both DES engines produce bit-identical results; ``engine`` only changes
-wall-clock time.
 """
 
 from __future__ import annotations
@@ -55,7 +53,6 @@ class MultiModelComparison:
     model_names: tuple[str, ...]
     batch_size: int
     duration_s: float
-    engine: str
     #: replicas assigned to each model class in the static arm.
     partition: tuple[int, ...]
     mixed: MultiModelResult
@@ -131,7 +128,6 @@ def run(
     dram_headroom: float = 0.8,
     thrash_window_s: float = 0.05,
     seed: int = 23,
-    engine: str = "vectorized",
     metrics: MetricsRegistry | None = None,
     tracer=None,
 ) -> MultiModelComparison:
@@ -152,7 +148,6 @@ def run(
         thrash_window_s: swap-thrash window (see
             :class:`~repro.serving.multimodel.MultiModelPool`).
         seed: seeds the shared arrival trace and both arms' service noise.
-        engine: DES engine; results are bit-identical across engines.
         metrics: optional registry the mixed arm records into.
         tracer: optional tracer for the mixed arm's spans.
     """
@@ -182,7 +177,6 @@ def run(
         ),
         batch_size=batch_size,
         seed=seed,
-        engine=engine,
         tracer=tracer,
         metrics=metrics,
     )
@@ -216,7 +210,6 @@ def run(
             ),
             batch_size=batch_size,
             seed=seed + 1 + i,
-            engine=engine,
         )
         static_results.append(router.run(duration_s, queries=queries))
 
@@ -225,7 +218,6 @@ def run(
         model_names=tuple(config.name for config in models),
         batch_size=batch_size,
         duration_s=duration_s,
-        engine=engine,
         partition=sizes,
         mixed=mixed,
         static_by_model=tuple(static_results),
@@ -251,8 +243,7 @@ def render(result: MultiModelComparison) -> str:
     title = (
         f"Figure MM: {'+'.join(sorted(set(result.replica_names)))} pool of "
         f"{len(result.replica_names)}, mixed residency vs static "
-        f"partitioning, {result.duration_s * 1e3:.0f} ms cycle, "
-        f"engine={result.engine}"
+        f"partitioning, {result.duration_s * 1e3:.0f} ms cycle"
     )
     table = format_table(
         [

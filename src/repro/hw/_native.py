@@ -1,4 +1,4 @@
-"""Self-contained native kernel for the vectorized cache-replay engine.
+"""Native C kernels: the shared build cache and loader, plus the cache replay.
 
 Exact LRU simulation with cross-level feedback (inclusive back-
 invalidation, victim fills, prefetch pollution) is inherently sequential
@@ -10,18 +10,24 @@ prefetch-flag matrices, int64 occupancy vectors — see
 :mod:`repro.hw.vectorized`), compiled on first use with the system C
 compiler and loaded through :mod:`ctypes`.
 
-No third-party dependency is added: when no compiler is available (or
-``REPRO_DISABLE_NATIVE=1`` is set) the engine transparently falls back to
-the pure-Python batch kernel, which implements the same semantics and is
-itself several times faster than the reference engine. The equivalence
-test suite drives both backends against the reference
-:class:`~repro.hw.cache.SetAssociativeCache` implementation, which remains
-the executable specification.
+:func:`load_library` is the one loader for every self-compiled kernel in
+the repo (this one, :mod:`repro.memory.nmp_native` and
+:mod:`repro.serving._des_native`): it compiles through
+:func:`compile_cached`, sets each symbol's ``restype``/``argtypes`` and
+caches the library per stem for the life of the process. No third-party
+dependency is added: when no compiler is available, or
+``REPRO_DISABLE_NATIVE=1`` is set, it returns ``None`` and the caller runs
+its executable specification instead (the reference
+:class:`~repro.hw.cache.SetAssociativeCache` loop here). A compiler that
+exists but fails is not silent: the loader emits one ``RuntimeWarning``
+per kernel naming the stem and the tail of the compiler's stderr.
 
 Build artifacts go to ``REPRO_NATIVE_CACHE`` if set, else a
 ``_native_build`` directory next to this file when writable, else a
 process-private temporary directory. The shared object is keyed by a hash
-of the C source so edits trigger a rebuild.
+of the C source and flags so edits trigger a rebuild; sources and shared
+objects are written under per-process names and renamed into place, so
+processes racing on one cache directory never see a partial file.
 """
 
 from __future__ import annotations
@@ -33,11 +39,18 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["compile_cached", "load_kernel", "native_available", "NativeKernel"]
+__all__ = [
+    "compile_cached",
+    "load_kernel",
+    "load_library",
+    "native_available",
+    "NativeKernel",
+]
 
 # Mirror of the reference engine in repro.hw.cache / repro.hw.hierarchy.
 # Each cache set keeps its resident lines contiguous from slot 0 in LRU
@@ -301,6 +314,12 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
 _LEVEL_ARGS = [_I64P, _U8P, _I64P, ctypes.c_int64, ctypes.c_int64, _I64P]
+_HIER_ARGS = _LEVEL_ARGS * 3 + [ctypes.c_int64, ctypes.c_int64, _I64P]
+
+_SIGNATURES = {
+    "repro_replay": (None, [_I64P, ctypes.c_int64] + _HIER_ARGS),
+    "repro_pressure": (None, [ctypes.c_int64, ctypes.c_int64] + _HIER_ARGS),
+}
 
 
 class NativeKernel:
@@ -308,19 +327,7 @@ class NativeKernel:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._replay = lib.repro_replay
-        self._replay.restype = None
-        self._replay.argtypes = (
-            [_I64P, ctypes.c_int64]
-            + _LEVEL_ARGS * 3
-            + [ctypes.c_int64, ctypes.c_int64, _I64P]
-        )
         self._pressure = lib.repro_pressure
-        self._pressure.restype = None
-        self._pressure.argtypes = (
-            [ctypes.c_int64, ctypes.c_int64]
-            + _LEVEL_ARGS * 3
-            + [ctypes.c_int64, ctypes.c_int64, _I64P]
-        )
 
     @staticmethod
     def _level_args(level) -> list:
@@ -333,18 +340,23 @@ class NativeKernel:
             level._counters.ctypes.data_as(_I64P),
         ]
 
-    def replay(self, lines: np.ndarray, l1, l2, l3, inclusive: bool,
-               degree: int, hier_counters: np.ndarray) -> None:
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        self._replay(
-            lines.ctypes.data_as(_I64P),
-            lines.size,
+    def _hier_args(self, l1, l2, l3, inclusive, degree, hier_counters) -> list:
+        return [
             *self._level_args(l1),
             *self._level_args(l2),
             *self._level_args(l3),
             int(inclusive),
             int(degree),
             hier_counters.ctypes.data_as(_I64P),
+        ]
+
+    def replay(self, lines: np.ndarray, l1, l2, l3, inclusive: bool,
+               degree: int, hier_counters: np.ndarray) -> None:
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        self._replay(
+            lines.ctypes.data_as(_I64P),
+            lines.size,
+            *self._hier_args(l1, l2, l3, inclusive, degree, hier_counters),
         )
 
     def pressure(self, evict_lines: int, seed_stride: int, l1, l2, l3,
@@ -353,13 +365,12 @@ class NativeKernel:
         self._pressure(
             int(evict_lines),
             int(seed_stride),
-            *self._level_args(l1),
-            *self._level_args(l2),
-            *self._level_args(l3),
-            int(inclusive),
-            int(degree),
-            hier_counters.ctypes.data_as(_I64P),
+            *self._hier_args(l1, l2, l3, inclusive, degree, hier_counters),
         )
+
+
+class NativeBuildError(RuntimeError):
+    """A compiler exists but could not build a kernel."""
 
 
 def _build_dir() -> Path:
@@ -387,14 +398,15 @@ def _compiler() -> str | None:
 def compile_cached(
     source: str, stem: str, extra_flags: tuple[str, ...] = ()
 ) -> Path | None:
-    """Compile C ``source`` into a cached shared object; None if impossible.
+    """Compile C ``source`` into a cached shared object.
 
     The artifact is keyed by a hash of the source and the extra compiler
     flags, so edits to either trigger a rebuild while repeat calls reuse
-    the cached ``.so``. Honours ``REPRO_DISABLE_NATIVE=1`` and the
-    ``REPRO_NATIVE_CACHE`` build-directory override. Shared by every
-    self-compiled kernel in the repo (cache replay here, the DES kernel
-    in :mod:`repro.serving._des_native`).
+    the cached ``.so``. Returns ``None`` when ``REPRO_DISABLE_NATIVE=1``
+    is set or no compiler exists, and raises :class:`NativeBuildError`
+    (carrying the tail of the compiler's stderr) when the build fails.
+    Both files are written under per-process names and renamed into
+    place, so racing processes all succeed.
     """
     if os.environ.get("REPRO_DISABLE_NATIVE") == "1":
         return None
@@ -404,25 +416,70 @@ def compile_cached(
     key = source + "\x00" + " ".join(extra_flags)
     tag = hashlib.sha256(key.encode()).hexdigest()[:16]
     build_dir = _build_dir()
+    build_dir.mkdir(parents=True, exist_ok=True)
     suffix = ".dylib" if sys.platform == "darwin" else ".so"
     target = build_dir / f"{stem}-{tag}{suffix}"
     if target.exists():
         return target
-    src = build_dir / f"{stem}-{tag}.c"
+    private = f".{stem}-{tag}-{os.getpid()}"
+    src = build_dir / f"{private}.c"
+    tmp = build_dir / f"{private}{suffix}"
     src.write_text(source)
-    tmp = build_dir / f".{stem}-{tag}-{os.getpid()}{suffix}"
     cmd = [cc, "-O2", "-shared", "-fPIC", *extra_flags, "-o", str(tmp), str(src)]
     try:
         subprocess.run(
-            cmd, check=True, capture_output=True, timeout=120
+            cmd, check=True, capture_output=True, text=True, timeout=120
         )
-    except (subprocess.SubprocessError, OSError):
-        return None
-    os.replace(tmp, target)  # atomic: racing processes both succeed
-    return target
+    except subprocess.CalledProcessError as exc:
+        detail = exc.stderr.strip()[-500:] or f"exit status {exc.returncode}"
+    except (subprocess.SubprocessError, OSError) as exc:
+        detail = str(exc)
+    else:
+        os.replace(src, build_dir / f"{stem}-{tag}.c")
+        os.replace(tmp, target)
+        return target
+    src.unlink(missing_ok=True)
+    tmp.unlink(missing_ok=True)
+    raise NativeBuildError(f"{cc} failed: {detail}")
 
 
-_CACHED: tuple[bool, NativeKernel | None] | None = None
+# stem -> loaded library, or None once loading failed in this process.
+_LIBRARIES: dict[str, ctypes.CDLL | None] = {}
+
+
+def load_library(
+    source: str,
+    stem: str,
+    signatures: dict[str, tuple],
+    extra_flags: tuple[str, ...] = (),
+) -> ctypes.CDLL | None:
+    """Compile (once per process) and load a C kernel; None if unavailable.
+
+    ``signatures`` maps each exported symbol to its ``(restype,
+    argtypes)``. A failed build or load warns once per ``stem``; a
+    disabled or missing compiler returns ``None`` quietly.
+    """
+    if stem in _LIBRARIES:
+        return _LIBRARIES[stem]
+    lib = None
+    try:
+        path = compile_cached(source, stem, extra_flags)
+        if path is not None:
+            lib = ctypes.CDLL(str(path))
+            for name, (restype, argtypes) in signatures.items():
+                func = getattr(lib, name)
+                func.restype = restype
+                func.argtypes = argtypes
+    except (NativeBuildError, OSError) as exc:
+        warnings.warn(
+            f"native kernel {stem!r} failed to build or load, running "
+            f"without it: {exc}",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        lib = None
+    _LIBRARIES[stem] = lib
+    return lib
 
 
 def native_available() -> bool:
@@ -431,14 +488,6 @@ def native_available() -> bool:
 
 
 def load_kernel() -> NativeKernel | None:
-    """Compile (once) and load the native kernel; None when unavailable."""
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    try:
-        path = compile_cached(_C_SOURCE, "repro_replay")
-        kernel = NativeKernel(ctypes.CDLL(str(path))) if path else None
-    except OSError:
-        kernel = None
-    _CACHED = (kernel is not None, kernel)
-    return kernel
+    """Compile (once) and load the cache-replay kernel; None if unavailable."""
+    lib = load_library(_C_SOURCE, "repro_replay", _SIGNATURES)
+    return NativeKernel(lib) if lib is not None else None

@@ -10,19 +10,24 @@ L2/L3 is non-inclusive (L3 acts as a victim cache), so LLC churn does not
 reach into L2.
 
 :class:`CacheHierarchy` simulates an L1/L2/L3 stack with either policy and
-returns per-level hit counts for an address trace. Two engines implement
-the same semantics:
+returns per-level hit counts for an address trace. It has exactly two
+code paths:
 
-* ``engine="reference"`` — one OrderedDict per set, one Python call per
-  line. Slow, obvious, and the executable specification.
-* ``engine="vectorized"`` — structure-of-arrays numpy state
-  (:mod:`repro.hw.vectorized`) driven by a batch kernel: a self-compiled
-  C kernel (:mod:`repro.hw._native`) when a compiler is available, else a
-  pure-Python batch loop. Bit-identical stats to the reference across
-  both inclusion policies, prefetching, and external-pressure paths —
-  enforced by ``tests/test_engine_equivalence.py`` — at one-to-two orders
-  of magnitude lower cost, which is what makes million-lookup
-  paper-scale traces tractable (see ``docs/PERFORMANCE.md``).
+* the executable specification — one OrderedDict per set
+  (:class:`~repro.hw.cache.SetAssociativeCache`), one Python call per
+  line. Slow and obvious; ``engine="reference"`` always runs it.
+* the C kernel — ``engine="vectorized"`` keeps structure-of-arrays numpy
+  state (:mod:`repro.hw.vectorized`) and replays whole batches through a
+  self-compiled kernel (:mod:`repro.hw._native`). Bit-identical stats to
+  the spec across both inclusion policies, prefetching, and
+  external-pressure paths — enforced by
+  ``tests/test_engine_equivalence.py`` — at one-to-two orders of
+  magnitude lower cost, which is what makes million-lookup paper-scale
+  traces tractable (see ``docs/PERFORMANCE.md``).
+
+When the kernel cannot be built (no compiler, or
+``REPRO_DISABLE_NATIVE=1``), ``engine="vectorized"`` builds the spec's
+levels and runs the spec loop; ``backend`` then reports ``"python"``.
 """
 
 from __future__ import annotations
@@ -37,9 +42,8 @@ from .cache import SetAssociativeCache
 from .server import ServerSpec
 from .vectorized import (
     VectorizedSetAssociativeCache,
+    as_index_array,
     expand_spans,
-    python_pressure,
-    python_replay,
 )
 
 # Accesses buffered per batch when draining a MemoryAccess iterable
@@ -99,15 +103,14 @@ class CacheHierarchy:
             pollute — under SLS's irregular row gathers, the effect the
             paper notes as "prefetching pollution". 0 disables.
         engine: ``"reference"`` (per-line OrderedDict walk, the executable
-            spec) or ``"vectorized"`` (SoA numpy state + batch kernel,
+            spec) or ``"vectorized"`` (SoA numpy state + C batch kernel,
             bit-identical stats, built for million-lookup traces — feed it
             through :meth:`access_lines` for full speed).
-        backend: batch-kernel selection for the vectorized engine:
-            ``"auto"`` uses the self-compiled C kernel when a compiler is
-            available and falls back to the pure-Python batch loop,
-            ``"native"`` requires the C kernel (raises if unavailable),
-            ``"python"`` forces the fallback. Ignored by the reference
-            engine.
+        backend: for the vectorized engine, ``"auto"`` uses the C kernel
+            when it builds and otherwise runs the spec, ``"native"``
+            requires the C kernel (raises if unavailable). Ignored by the
+            reference engine. :attr:`backend` reports what runs:
+            ``"native"`` or ``"python"`` (the spec loop).
     """
 
     def __init__(
@@ -125,7 +128,7 @@ class CacheHierarchy:
             raise ValueError("prefetch_degree must be non-negative")
         if engine not in ("reference", "vectorized"):
             raise ValueError(f"unknown engine {engine!r}")
-        if backend not in ("auto", "native", "python"):
+        if backend not in ("auto", "native"):
             raise ValueError(f"unknown backend {backend!r}")
         self.server = server
         self.inclusive = server.inclusive_llc
@@ -133,9 +136,18 @@ class CacheHierarchy:
         self.engine = engine
         self.line_bytes = line_bytes
         self._prefetched_lines: set[int] = set()
+        self._kernel = load_kernel() if engine == "vectorized" else None
+        if backend == "native" and engine == "vectorized" and (
+            self._kernel is None
+        ):
+            raise RuntimeError(
+                "backend='native' requested but the C kernel is "
+                "unavailable (no compiler, or REPRO_DISABLE_NATIVE=1)"
+            )
+        self.backend = "native" if self._kernel is not None else "python"
         cache_cls = (
             SetAssociativeCache
-            if engine == "reference"
+            if self._kernel is None
             else VectorizedSetAssociativeCache
         )
         self.l1 = cache_cls("L1", server.l1_bytes, 8, line_bytes)
@@ -145,65 +157,46 @@ class CacheHierarchy:
         l3_bytes = max(l3_bytes - l3_bytes % (16 * line_bytes), 16 * line_bytes)
         self.l3 = cache_cls("L3", l3_bytes, 16, line_bytes)
         self.stats = HierarchyStats()
-        self._kernel = None
-        if engine == "vectorized":
-            if backend in ("auto", "native"):
-                self._kernel = load_kernel()
-            if backend == "native" and self._kernel is None:
-                raise RuntimeError(
-                    "backend='native' requested but the C kernel is "
-                    "unavailable (no compiler, or REPRO_DISABLE_NATIVE=1)"
-                )
-            self._batch_counters = np.zeros(7, dtype=np.int64)
-        self.backend = "native" if self._kernel is not None else "python"
+        self._batch_counters = np.zeros(7, dtype=np.int64)
 
     # ------------------------------------------------------------- accesses
 
     def access(self, access: MemoryAccess) -> None:
         """Simulate one logical access (all lines it spans)."""
-        if self.engine == "reference":
-            for line in self.l1.lines_spanned(access.address, access.size):
+        span = self.l1.lines_spanned(access.address, access.size)
+        if self._kernel is None:
+            for line in span:
                 self._access_line(line)
             return
-        span = self.l1.lines_spanned(access.address, access.size)
-        self.access_lines(
-            np.arange(span.start, span.stop, dtype=np.int64)
-        )
+        self._replay_lines(np.arange(span.start, span.stop, dtype=np.int64))
 
     def access_lines(self, lines: np.ndarray) -> None:
-        """Batch-replay an int64 array of line indices, in trace order.
+        """Batch-replay an array of non-negative line indices, in trace order.
 
         The fast path of the vectorized engine: one kernel call per batch
         instead of one Python call per line. Available on the reference
         engine too (a per-line loop) so callers and the equivalence suite
-        can drive both engines through the same entry point.
+        can drive both engines through the same entry point. Float or
+        negative ids raise ``ValueError``.
         """
-        if self.engine == "reference":
-            for line in np.asarray(lines, dtype=np.int64).reshape(-1).tolist():
+        self._replay_lines(as_index_array(lines, "line ids"))
+
+    def _replay_lines(self, lines: np.ndarray) -> None:
+        if self._kernel is None:
+            for line in lines.tolist():
                 self._access_line(line)
             return
         counters = self._batch_counters
         counters[:] = 0
-        if self._kernel is not None:
-            self._kernel.replay(
-                lines,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
-        else:
-            python_replay(
-                lines,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
+        self._kernel.replay(
+            lines,
+            self.l1,
+            self.l2,
+            self.l3,
+            self.inclusive,
+            self.prefetch_degree,
+            counters,
+        )
         self._drain_batch_counters()
 
     def _drain_batch_counters(self) -> None:
@@ -219,7 +212,7 @@ class CacheHierarchy:
 
     def access_trace(self, trace) -> HierarchyStats:
         """Simulate an iterable of :class:`MemoryAccess`; returns stats."""
-        if self.engine == "reference":
+        if self._kernel is None:
             for item in trace:
                 self.access(item)
             return self.stats
@@ -244,7 +237,7 @@ class CacheHierarchy:
         )
         addresses.clear()
         sizes.clear()
-        self.access_lines(lines)
+        self._replay_lines(lines)
 
     def _access_line(self, line: int) -> None:
         if line in self._prefetched_lines:
@@ -329,7 +322,7 @@ class CacheHierarchy:
         Foreign lines use negative line indices so they never alias the
         workload's own lines.
         """
-        if self.engine == "reference":
+        if self._kernel is None:
             for i in range(evict_lines):
                 foreign = -(1 + i * seed_stride)
                 if self.inclusive:
@@ -339,27 +332,16 @@ class CacheHierarchy:
             return
         counters = self._batch_counters
         counters[:] = 0
-        if self._kernel is not None:
-            self._kernel.pressure(
-                evict_lines,
-                seed_stride,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                self.prefetch_degree,
-                counters,
-            )
-        else:
-            python_pressure(
-                evict_lines,
-                seed_stride,
-                self.l1,
-                self.l2,
-                self.l3,
-                self.inclusive,
-                counters,
-            )
+        self._kernel.pressure(
+            evict_lines,
+            seed_stride,
+            self.l1,
+            self.l2,
+            self.l3,
+            self.inclusive,
+            self.prefetch_degree,
+            counters,
+        )
         self._drain_batch_counters()
 
     def reset_stats(self) -> HierarchyStats:

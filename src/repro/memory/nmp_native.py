@@ -1,21 +1,18 @@
-"""Self-contained native kernel for the near-memory hot-row cache.
+"""Self-contained native kernel for the near-memory replay.
 
 The one sequential piece of the RecNMP-style replay engine
 (:mod:`repro.memory.near_memory`) is the per-DIMM hot-row cache: exact
 LRU over row ids, probed in trace order, where each access's hit/miss
-outcome depends on every earlier access to the same DIMM. Everything
-else — row→rank placement, per-rank occupancy, pool critical paths — is
-whole-trace integer array arithmetic (:mod:`repro.memory.nmp_vectorized`).
-
-So the native kernel is deliberately tiny: it walks the lookup trace once,
-maintains the per-DIMM LRU tag arrays **in place on the engine's
-structure-of-arrays numpy state**, and emits one hit/miss byte per
-lookup. Compilation goes through the shared
-:func:`repro.hw._native.compile_cached` toolchain (same build cache, same
-``REPRO_DISABLE_NATIVE=1`` off-switch); without a compiler the pure-Python
-batch kernel in :mod:`repro.memory.nmp_vectorized` implements identical
-semantics and the equivalence suite (``tests/test_nmp_equivalence.py``)
-proves all three paths bit-identical against the per-access reference.
+outcome depends on every earlier access to the same DIMM. The kernel
+walks the lookup trace once to maintain the per-DIMM LRU tag arrays
+**in place on the engine's structure-of-arrays numpy state**
+(:mod:`repro.memory.nmp_vectorized`), then once more for the pool/rank
+accounting, in the same integer-nanosecond arithmetic as the reference
+loop. It is built and loaded through the shared
+:func:`repro.hw._native.load_library` (same build cache, same
+``REPRO_DISABLE_NATIVE=1`` off-switch); without it the engine runs the
+reference loop, and ``tests/test_nmp_equivalence.py`` proves the two
+bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ import ctypes
 
 import numpy as np
 
-from ..hw._native import compile_cached
+from ..hw._native import load_library
 
 __all__ = ["NmpNativeKernel", "load_nmp_kernel", "nmp_native_available"]
 
@@ -189,9 +186,9 @@ int repro_nmp_hot_flags(const i64 *rows, i64 n_rows,
     return 0;
 }
 
-/* Full replay: hot-flags pass (above) plus the pool/rank accounting the
- * vectorized Python engine otherwise does with bincount — one extra O(n)
- * walk, same integer-ns arithmetic, so observables stay bit-identical. */
+/* Full replay: hot-flags pass (above) plus the pool/rank accounting of
+ * the reference loop — one extra O(n) walk, same integer-ns arithmetic,
+ * so observables stay bit-identical. */
 int repro_nmp_replay(const i64 *rows, i64 n_rows,
                      const i64 *lengths, i64 n_pools,
                      i64 *tags, i64 *occ,
@@ -246,73 +243,21 @@ int repro_nmp_replay(const i64 *rows, i64 n_rows,
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
 
+_SIGNATURES = {
+    "repro_nmp_replay": (
+        ctypes.c_int,
+        [_I64P, ctypes.c_int64, _I64P, ctypes.c_int64, _I64P, _I64P]
+        + [ctypes.c_int64] * 7
+        + [_U8P, _I64P, _I64P, _I64P, _I64P],
+    ),
+}
+
 
 class NmpNativeKernel:
-    """ctypes facade over the compiled hot-row-cache kernel."""
+    """ctypes facade over the compiled NMP replay kernel."""
 
     def __init__(self, lib: ctypes.CDLL) -> None:
-        self._hot_flags = lib.repro_nmp_hot_flags
-        self._hot_flags.restype = ctypes.c_int
-        self._hot_flags.argtypes = [
-            _I64P,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _U8P,
-        ]
         self._replay = lib.repro_nmp_replay
-        self._replay.restype = ctypes.c_int
-        self._replay.argtypes = [
-            _I64P,
-            ctypes.c_int64,
-            _I64P,
-            ctypes.c_int64,
-            _I64P,
-            _I64P,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            _U8P,
-            _I64P,
-            _I64P,
-            _I64P,
-            _I64P,
-        ]
-
-    def hot_flags(
-        self,
-        rows: np.ndarray,
-        tags: np.ndarray,
-        occupancy: np.ndarray,
-        capacity: int,
-        ranks_per_dimm: int,
-        num_ranks: int,
-    ) -> np.ndarray:
-        """Replay ``rows`` through the per-DIMM LRU state; returns hit bytes."""
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        hits = np.zeros(rows.size, dtype=np.uint8)
-        status = self._hot_flags(
-            rows.ctypes.data_as(_I64P),
-            rows.size,
-            tags.ctypes.data_as(_I64P),
-            occupancy.ctypes.data_as(_I64P),
-            occupancy.size,
-            int(capacity),
-            int(ranks_per_dimm),
-            int(num_ranks),
-            hits.ctypes.data_as(_U8P),
-        )
-        if status != 0:
-            raise MemoryError("NMP kernel scratch allocation failed")
-        return hits
 
     def replay(
         self,
@@ -330,8 +275,8 @@ class NmpNativeKernel:
         """Full replay in C: hot flags plus pool/rank accounting.
 
         Returns ``(pool_latencies_ns, per_rank_busy_ns, per_dimm_hits,
-        per_dimm_misses)`` — the same integer observables the numpy
-        accounting path produces.
+        per_dimm_misses)`` — the same integer observables the reference
+        loop produces.
         """
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         lengths = np.ascontiguousarray(lengths, dtype=np.int64)
@@ -366,9 +311,6 @@ class NmpNativeKernel:
         return pool_latencies, rank_busy, dimm_hits, dimm_misses
 
 
-_CACHED: tuple[bool, NmpNativeKernel | None] | None = None
-
-
 def nmp_native_available() -> bool:
     """True when the compiled NMP kernel is usable in this process."""
     return load_nmp_kernel() is not None
@@ -376,13 +318,5 @@ def nmp_native_available() -> bool:
 
 def load_nmp_kernel() -> NmpNativeKernel | None:
     """Compile (once) and load the NMP kernel; None when unavailable."""
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    try:
-        path = compile_cached(_C_SOURCE, "repro_nmp")
-        kernel = NmpNativeKernel(ctypes.CDLL(str(path))) if path else None
-    except OSError:
-        kernel = None
-    _CACHED = (kernel is not None, kernel)
-    return kernel
+    lib = load_library(_C_SOURCE, "repro_nmp", _SIGNATURES)
+    return NmpNativeKernel(lib) if lib is not None else None

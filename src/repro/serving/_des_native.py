@@ -20,9 +20,9 @@ Records stream out through a flush callback in 64Ki-row blocks of six
 float64 columns and are reassembled into a
 :class:`~repro.serving.des.RecordBatch`. When no C compiler is available
 (or ``REPRO_DISABLE_NATIVE=1``), :func:`simulate_native` returns ``None``
-and ``backend="auto"`` falls back to the batched python loop. Build
-caching is shared with the cache-replay kernel via
-:func:`repro.hw._native.compile_cached`.
+and ``backend="auto"`` falls back to the batched python loop. Building,
+caching and loading go through the shared
+:func:`repro.hw._native.load_library`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..hw._native import compile_cached
+from ..hw._native import load_library
 
 if TYPE_CHECKING:
     from .simulator import ServingSimulator
@@ -479,26 +479,10 @@ _I64P = ctypes.POINTER(ctypes.c_int64)
 _NORM_CB = ctypes.CFUNCTYPE(None, _F64P, ctypes.c_int64)
 _REC_CB = ctypes.CFUNCTYPE(None, _F64P, ctypes.c_int64)
 
-_CACHED: tuple[bool, ctypes.CDLL | None] | None = None
-
-
-def _load() -> ctypes.CDLL | None:
-    global _CACHED
-    if _CACHED is not None:
-        return _CACHED[1]
-    try:
-        # -ffp-contract=off: the service-draw expression mean + sigma*z
-        # must not be fused into an FMA, or native drifts from python
-        # by one ulp on architectures where GCC contracts by default.
-        path = compile_cached(
-            _C_SOURCE, "repro_des", extra_flags=("-ffp-contract=off",)
-        )
-        lib = ctypes.CDLL(str(path)) if path else None
-    except OSError:
-        lib = None
-    if lib is not None:
-        lib.repro_des.restype = None
-        lib.repro_des.argtypes = [
+_SIGNATURES = {
+    "repro_des": (
+        None,
+        [
             _F64P, _I64P, _I64P,                      # static events
             ctypes.c_int64, ctypes.c_int64,           # n_static, N
             ctypes.c_double, ctypes.c_int64,          # duration, closed_loop
@@ -513,9 +497,18 @@ def _load() -> ctypes.CDLL | None:
             _I64P, _F64P, _F64P, _F64P,               # bandwidth arrays
             _F64P, _I64P, _I64P,                      # queue buffer/base/cap
             _NORM_CB, _REC_CB, _I64P,                 # callbacks, out[6]
-        ]
-    _CACHED = (lib is not None, lib)
-    return lib
+        ],
+    ),
+}
+
+
+def _load() -> ctypes.CDLL | None:
+    # -ffp-contract=off: the service-draw expression mean + sigma*z must
+    # not be fused into an FMA, or native drifts from python by one ulp on
+    # architectures where GCC contracts by default.
+    return load_library(
+        _C_SOURCE, "repro_des", _SIGNATURES, extra_flags=("-ffp-contract=off",)
+    )
 
 
 def native_available() -> bool:

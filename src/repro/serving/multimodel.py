@@ -39,12 +39,10 @@ Three mechanisms, all deterministic on the DES clock:
   a per-request skip cap bounds how often the queue head may be bypassed
   before it locks the queue and forces its swap.
 
-Both DES engines — ``engine="reference"`` (one heap, scalar noise draws)
-and ``engine="vectorized"`` (pre-sorted static streams merged against a
-dynamic heap, chunked noise via
-:class:`~repro.serving.des.NormalStream`) — drive the same transition
-core and are bit-identical record for record, with faults, admission
-control, and tracing composed (``tests/test_des_equivalence.py``).
+The router has one DES driver: a single heap of every event, popped in
+``(time, seq)`` order, feeding the transition core (:class:`_Core`) with
+scalar lognormal service noise. It is both the executable specification
+and the only path; faults, admission control and tracing compose with it.
 Overload protection is admission-only here, mirroring
 :class:`~repro.serving.simulator.ServingSimulator`: circuit breakers and
 brownout stay router-per-model concerns
@@ -65,7 +63,7 @@ from ..hw.server import ServerSpec
 from ..hw.timing import TimingModel
 from ..obs.quantiles import quantile
 from ..obs.tracer import as_tracer
-from .des import NormalStream, poisson_arrival_times, validate_engine
+from .des import poisson_arrival_times
 from .distributed import min_shards_for_capacity
 from .overload import (
     SHED_CODEL,
@@ -91,8 +89,8 @@ SLOT_EMPTY = 0
 SLOT_LOADING = 1
 SLOT_RESIDENT = 2
 
-# Dynamic DES event kinds (arrivals and fault transitions are static
-# streams owned by the engine loops).
+# Dynamic DES event kinds (arrivals and fault transitions are pushed by
+# the driver with kinds -1 and -2).
 _EV_COMPLETE = 0
 _EV_LOAD_DONE = 1
 
@@ -144,7 +142,7 @@ class MultiModelPool:
     and its accounting: per-model slot counters, swap and thrash
     counters, and time-integrated occupancy. It never touches an RNG —
     every transition is a deterministic function of the call sequence,
-    which is what makes the two router engines bit-identical.
+    which is what makes a seeded run reproducible byte for byte.
 
     Args:
         replicas: one :class:`~repro.hw.server.ServerSpec` per replica
@@ -562,12 +560,11 @@ class MultiModelResult:
 
     Per-model tuples are indexed like ``model_names``. ``latencies_by_model``
     holds completion-ordered latencies (seconds) — byte-comparable across
-    engines. Conservation: per model, ``offered == completed + shed +
+    runs. Conservation: per model, ``offered == completed + shed +
     killed`` (every request reaches a terminal state; crashes kill both
     in-flight and queued work).
     """
 
-    engine: str
     duration_s: float
     model_names: tuple[str, ...]
     replica_names: tuple[str, ...]
@@ -628,7 +625,6 @@ class MultiModelResult:
     def summary(self) -> dict:
         """Compact jsonable digest (used by goldens and ``--json``)."""
         return {
-            "engine": self.engine,
             "offered": self.offered,
             "completed": self.completed,
             "shed": self.shed,
@@ -656,14 +652,10 @@ class MultiModelResult:
 
 
 class _Core:
-    """Shared DES transition logic driven by both engine loops.
+    """DES state transitions, driven by :meth:`MultiModelRouter._drive`.
 
-    The engines differ only in how they *source* static events (one big
-    heap vs pre-sorted arrays merged against a dynamic heap) and how they
-    *draw* service noise (scalar lognormal vs chunked
-    :class:`~repro.serving.des.NormalStream`); every state transition
-    lives here, which is what makes bit-identity structural rather than
-    coincidental.
+    Every state transition lives here; the driver only orders events and
+    the router supplies the service-noise draw.
     """
 
     def __init__(self, router, arrivals_s, model_ids, duration_s, faults, noise_factor, tracer):
@@ -1004,7 +996,6 @@ class MultiModelRouter:
             (:class:`~repro.serving.faults.ResilientRouter`); passing
             them raises, mirroring ``ServingSimulator``.
         seed: RNG seed (arrival synthesis and service noise).
-        engine: ``"reference"`` or ``"vectorized"`` — bit-identical.
         tracer: optional :class:`~repro.obs.tracer.Tracer`; spans/instants
             under ``serving.multimodel.*``. Purely observational.
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry`;
@@ -1026,7 +1017,6 @@ class MultiModelRouter:
         hol_scan_window: int = 16,
         overload: OverloadConfig | None = None,
         seed: int = 0,
-        engine: str = "reference",
         tracer=None,
         metrics=None,
     ) -> None:
@@ -1038,7 +1028,6 @@ class MultiModelRouter:
             slots_per_replica=slots_per_replica,
             thrash_window_s=thrash_window_s,
         )
-        validate_engine(engine)
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         if hol_skip_cap < 0:
@@ -1058,7 +1047,6 @@ class MultiModelRouter:
         self.hol_skip_cap = hol_skip_cap
         self.hol_scan_window = hol_scan_window
         self.seed = seed
-        self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         timings: dict[str, TimingModel] = {}
@@ -1084,7 +1072,7 @@ class MultiModelRouter:
     def _synthesize_arrivals(
         self, rng, duration_s: float, offered_qps: float, mix
     ):
-        """Seeded mixed Poisson arrivals (shared by both engines)."""
+        """Seeded mixed Poisson arrivals."""
         if offered_qps <= 0:
             raise ValueError("offered_qps must be positive")
         num_models = len(self.pool.models)
@@ -1178,38 +1166,21 @@ class MultiModelRouter:
             for r, spec in enumerate(self.pool.replicas):
                 tracer.set_track_name(r, f"replica {r} ({spec.name})")
         log_mean = -0.5 * SERVICE_NOISE_SIGMA**2
-        if self.engine == "vectorized":
-            normals = NormalStream(rng)
-            core = _Core(
-                self,
-                arrivals_s,
-                model_ids,
-                duration_s,
-                faults,
-                lambda: math.exp(
-                    log_mean + SERVICE_NOISE_SIGMA * normals.next()
-                ),
-                tracer,
-            )
-            self._drive_vectorized(core, fault_events)
-            normals.close()
-        else:
-            core = _Core(
-                self,
-                arrivals_s,
-                model_ids,
-                duration_s,
-                faults,
-                lambda: float(
-                    rng.lognormal(mean=log_mean, sigma=SERVICE_NOISE_SIGMA)
-                ),
-                tracer,
-            )
-            self._drive_reference(core, fault_events)
+        core = _Core(
+            self,
+            arrivals_s,
+            model_ids,
+            duration_s,
+            faults,
+            lambda: float(
+                rng.lognormal(mean=log_mean, sigma=SERVICE_NOISE_SIGMA)
+            ),
+            tracer,
+        )
+        self._drive(core, fault_events)
         end_s = max(duration_s, core.end_s)
         self.pool.finalize(end_s)
         result = MultiModelResult(
-            engine=self.engine,
             duration_s=duration_s,
             model_names=self.pool.model_names,
             replica_names=tuple(spec.name for spec in self.pool.replicas),
@@ -1239,10 +1210,10 @@ class MultiModelRouter:
             self._record_metrics(result)
         return result
 
-    # ---------------------------------------------------------- engines
+    # ------------------------------------------------------------ driver
 
-    def _drive_reference(self, core: _Core, fault_events) -> None:
-        """One heap, every event — the executable specification."""
+    def _drive(self, core: _Core, fault_events) -> None:
+        """One heap, every event, popped in ``(time, seq)`` order."""
         heap = []
         seq = 0
         for qid, t_s in enumerate(core.arrivals_s):
@@ -1269,47 +1240,6 @@ class MultiModelRouter:
                 core.on_complete(a, b, epoch, t_s)
             else:
                 core.on_load_done(a, b, epoch, t_s)
-
-    def _drive_vectorized(self, core: _Core, fault_events) -> None:
-        """Pre-sorted static streams merged against a dynamic heap.
-
-        Arrivals and fault transitions are already time-sorted, so the
-        loop replaces their O(log n) heap traffic with two array
-        cursors; only completions and load-dones go through a (small)
-        heap. ``<=`` comparisons reproduce the reference heap's tie
-        order: arrivals, then faults, then dynamics.
-        """
-        arrivals_s = core.arrivals_s
-        num_arrivals = len(arrivals_s)
-        num_faults = len(fault_events)
-        ai = 0
-        fi = 0
-        dyn: list = []
-        counter = [0]
-
-        def push(t_s, kind, replica, slot, epoch):
-            counter[0] += 1
-            heapq.heappush(dyn, (t_s, counter[0], kind, replica, slot, epoch))
-
-        core.push = push
-        inf = math.inf
-        while ai < num_arrivals or fi < num_faults or dyn:
-            ta_s = arrivals_s[ai] if ai < num_arrivals else inf
-            tf_s = fault_events[fi][0] if fi < num_faults else inf
-            td_s = dyn[0][0] if dyn else inf
-            if ta_s <= tf_s and ta_s <= td_s:
-                ai += 1
-                core.on_arrival(ai - 1, ta_s)
-            elif tf_s <= td_s:
-                _, replica, goes_down = fault_events[fi]
-                fi += 1
-                core.on_fault(replica, bool(goes_down), tf_s)
-            else:
-                t_s, _, kind, a, b, epoch = heapq.heappop(dyn)
-                if kind == _EV_COMPLETE:
-                    core.on_complete(a, b, epoch, t_s)
-                else:
-                    core.on_load_done(a, b, epoch, t_s)
 
     # ----------------------------------------------------------- metrics
 

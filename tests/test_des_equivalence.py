@@ -299,17 +299,16 @@ class TestSimulatorEquivalence:
                     assert key == baseline, engine
 
     def test_native_backend_request_fails_loudly_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-        import repro.serving._des_native as dn
+        import repro.hw._native as native
 
-        monkeypatch.setattr(dn, "_CACHED", None)
+        monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+        monkeypatch.setattr(native, "_LIBRARIES", {})
         sim = ServingSimulator(
             BROADWELL, RMC1_SMALL, 8, 2, seed=1, engine="vectorized",
             backend="native",
         )
         with pytest.raises(RuntimeError, match="native DES backend"):
             sim.run(0.01)
-        monkeypatch.setattr(dn, "_CACHED", None)
 
 
 class TestRouterEquivalence:
@@ -507,139 +506,3 @@ class TestFleetDayEquivalence:
         assert ref.peak_replicas == vec.peak_replicas
         assert ref.total_offered == vec.total_offered
         assert vec.total_offered > 0
-
-
-# ----------------------------------------------------------- multi-model
-
-
-def multimodel_key(result) -> tuple:
-    """Every observable of a multi-model run, bytes-exact."""
-    ovl = result.overload
-    return (
-        result.offered_by_model,
-        result.completed_by_model,
-        result.shed_by_model,
-        result.killed_by_model,
-        tuple(
-            np.asarray(lats, dtype=np.float64).tobytes()
-            for lats in result.latencies_by_model
-        ),
-        result.loads,
-        result.swaps,
-        result.thrash,
-        result.swaps_by_model,
-        result.resident_slots_by_model,
-        result.residency_utilization,
-        result.busy_utilization,
-        result.max_queue_depth,
-        result.hol_bypasses,
-        result.drain_claims,
-        None
-        if ovl is None
-        else (
-            ovl.offered,
-            ovl.admitted,
-            tuple(sorted(ovl.shed_by_reason.items())),
-            ovl.max_queue_depth,
-        ),
-    )
-
-
-class TestMultiModelEquivalence:
-    def make_router(self, engine, slots, admission, seed):
-        from repro.config import RMC2_SMALL, RMC3_SMALL
-        from repro.hw import SKYLAKE
-        from repro.serving import MultiModelPool, MultiModelRouter
-
-        pool = MultiModelPool(
-            (BROADWELL, SKYLAKE),
-            (RMC1_SMALL, RMC2_SMALL, RMC3_SMALL),
-            slots_per_replica=slots,
-            thrash_window_s=0.05,
-        )
-        overload = (
-            None if admission is None else OverloadConfig(admission=admission)
-        )
-        return MultiModelRouter(
-            pool, overload=overload, seed=seed, engine=engine
-        )
-
-    @EQUIV
-    @given(
-        load_factor=st.floats(0.3, 6.0),
-        slots=st.integers(1, 3),
-        admission=st.one_of(st.none(), admission_policies()),
-        faults=fault_schedules(num_replicas=2),
-        weight=st.floats(0.05, 0.95),
-        seed=st.integers(0, 2**16),
-    )
-    def test_engines_bit_identical(
-        self, load_factor, slots, admission, faults, weight, seed
-    ):
-        keys = {}
-        for engine in ("reference", "vectorized"):
-            router = self.make_router(engine, slots, admission, seed)
-            first = router.run(
-                DURATION_S,
-                offered_qps=load_factor * 2 / SERVICE_S,
-                mix=(weight, 1.0 - weight, weight / 2),
-                faults=faults,
-            )
-            # Second run from the same router proves RNG stream-position
-            # parity after the first.
-            second = router.run(
-                DURATION_S / 2,
-                offered_qps=load_factor * 2 / SERVICE_S,
-                mix=(weight, 1.0 - weight, weight / 2),
-            )
-            keys[engine] = multimodel_key(first) + multimodel_key(second)
-            assert first.offered == (
-                first.completed + first.shed + first.killed
-            )
-        assert keys["reference"] == keys["vectorized"]
-
-    def test_traced_runs_identical_across_engines(self):
-        from repro.obs import Tracer, dumps_chrome
-        from repro.serving import fault_storm
-
-        dumps = []
-        for engine in ("reference", "vectorized"):
-            tracer = Tracer()
-            router = self.make_router(
-                engine,
-                slots=2,
-                admission=AdmissionPolicy(
-                    queue_capacity=8,
-                    shed_policy="reject_oldest",
-                    codel_target_s=4.0 * SERVICE_S,
-                ),
-                seed=9,
-            )
-            router.tracer = tracer
-            router.run(
-                DURATION_S,
-                offered_qps=4.0 * 2 / SERVICE_S,
-                mix=(0.5, 0.3, 0.2),
-                faults=fault_storm(2, DURATION_S, seed=3),
-            )
-            dumps.append(dumps_chrome(tracer))
-        assert dumps[0] == dumps[1]
-
-    def test_explicit_query_traces_match(self):
-        from repro.serving import (
-            MixedModelLoadGenerator,
-            ModelClassRate,
-        )
-        from repro.config import RMC2_SMALL, RMC3_SMALL
-
-        classes = (
-            ModelClassRate(RMC1_SMALL.name, 1200.0),
-            ModelClassRate(RMC2_SMALL.name, 700.0, phase_s=0.01),
-            ModelClassRate(RMC3_SMALL.name, 400.0, amplitude=0.2),
-        )
-        load = MixedModelLoadGenerator(classes, period_s=0.04, seed=5)
-        keys = {}
-        for engine in ("reference", "vectorized"):
-            router = self.make_router(engine, slots=2, admission=None, seed=5)
-            keys[engine] = multimodel_key(router.run(DURATION_S, load=load))
-        assert keys["reference"] == keys["vectorized"]

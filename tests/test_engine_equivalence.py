@@ -7,9 +7,14 @@ interleavings. These tests drive random programs through both engines and
 compare every counter after every step (record-for-record, not just final
 totals), plus regression-test the ``_prefetched_lines`` leak the
 vectorized engine's per-copy flags were designed against.
+
+``engine="vectorized"`` has two backends: ``"native"`` (the C kernel) and
+``"python"`` (the kernel did not load, so the spec loop runs). Both are
+driven here; the ``"python"`` case unloads the kernel explicitly.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.operators.base import MemoryAccess
 from repro.core.operators.sls import EmbeddingTable, SparseLengthsSum
+import repro.hw._native as native
+import repro.hw.hierarchy as hierarchy_module
 from repro.hw._native import native_available
 from repro.hw.hierarchy import CacheHierarchy
 from repro.hw.server import BROADWELL, SKYLAKE
@@ -32,6 +39,22 @@ TINY_SKYLAKE = dataclasses.replace(
 )
 
 BACKENDS = ["python"] + (["native"] if native_available() else [])
+
+needs_kernel = pytest.mark.skipif(
+    not native_available(), reason="the SoA state is only filled by the C kernel"
+)
+
+
+def vectorized(server, backend: str, **kwargs) -> CacheHierarchy:
+    """``engine="vectorized"`` on the C kernel, or with the kernel unloaded."""
+    if backend == "native":
+        return CacheHierarchy(
+            server, engine="vectorized", backend="native", **kwargs
+        )
+    with mock.patch.object(hierarchy_module, "load_kernel", lambda: None):
+        hierarchy = CacheHierarchy(server, engine="vectorized", **kwargs)
+    assert hierarchy.backend == "python"
+    return hierarchy
 
 
 def snapshot(h: CacheHierarchy) -> dict:
@@ -90,14 +113,8 @@ _STEP = st.one_of(
 )
 def test_property_engines_bit_identical(server, backend, program, degree):
     reference = CacheHierarchy(server, l3_share=0.5, prefetch_degree=degree)
-    vectorized = CacheHierarchy(
-        server,
-        l3_share=0.5,
-        prefetch_degree=degree,
-        engine="vectorized",
-        backend=backend,
-    )
-    assert run_program(reference, program) == run_program(vectorized, program)
+    fast = vectorized(server, backend, l3_share=0.5, prefetch_degree=degree)
+    assert run_program(reference, program) == run_program(fast, program)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -111,13 +128,7 @@ def test_full_size_servers_bit_identical(server, backend, degree):
     lines = np.where(rng.random(6000) < 0.5, uniform, skewed).astype(np.int64)
     engines = [
         CacheHierarchy(server, l3_share=0.25, prefetch_degree=degree),
-        CacheHierarchy(
-            server,
-            l3_share=0.25,
-            prefetch_degree=degree,
-            engine="vectorized",
-            backend=backend,
-        ),
+        vectorized(server, backend, l3_share=0.25, prefetch_degree=degree),
     ]
     states = []
     for h in engines:
@@ -141,11 +152,9 @@ def test_sls_trace_path_bit_identical(backend):
     reference = CacheHierarchy(BROADWELL, l3_share=0.1)
     reference.access_trace(sls.trace_for_rows(rows))
 
-    vectorized = CacheHierarchy(
-        BROADWELL, l3_share=0.1, engine="vectorized", backend=backend
-    )
-    vectorized.access_lines(sls.line_trace_for_rows(rows))
-    assert snapshot(reference) == snapshot(vectorized)
+    fast = vectorized(BROADWELL, backend, l3_share=0.1)
+    fast.access_lines(sls.line_trace_for_rows(rows))
+    assert snapshot(reference) == snapshot(fast)
 
 
 def test_reset_stats_keeps_contents_on_both_engines():
@@ -162,20 +171,61 @@ def test_reset_stats_keeps_contents_on_both_engines():
 def test_engine_and_backend_validation():
     with pytest.raises(ValueError):
         CacheHierarchy(BROADWELL, engine="turbo")
-    with pytest.raises(ValueError):
-        CacheHierarchy(BROADWELL, engine="vectorized", backend="rust")
+    for engine in ("reference", "vectorized"):
+        for backend in ("rust", "python"):
+            with pytest.raises(ValueError, match="backend"):
+                CacheHierarchy(BROADWELL, engine=engine, backend=backend)
 
 
 def test_native_backend_errors_when_disabled(monkeypatch):
     monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
-    import repro.hw._native as native
+    monkeypatch.setattr(native, "_LIBRARIES", {})
+    with pytest.raises(RuntimeError):
+        CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
+    # With no kernel, auto runs the spec loop: same stats, record for record.
+    rng = np.random.default_rng(4)
+    program = [
+        ("lines", rng.integers(0, 400, size=300).tolist()),
+        ("pressure", 90),
+        ("access", (70 * 64 + 5, 3 * 64)),
+        ("lines", rng.integers(0, 40, size=200).tolist()),
+    ]
+    for server in (TINY_BROADWELL, TINY_SKYLAKE):
+        fallback = CacheHierarchy(
+            server, l3_share=0.5, prefetch_degree=2, engine="vectorized"
+        )
+        assert fallback.backend == "python"
+        reference = CacheHierarchy(server, l3_share=0.5, prefetch_degree=2)
+        assert run_program(fallback, program) == run_program(reference, program)
 
-    monkeypatch.setattr(native, "_CACHED", None)
-    try:
-        with pytest.raises(RuntimeError):
-            CacheHierarchy(BROADWELL, engine="vectorized", backend="native")
-    finally:
-        native._CACHED = None  # let later tests re-probe the compiler
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "bad", [[1.7, 1.2, 1.0], [3, -1], np.array([True, False])]
+)
+def test_access_lines_rejects_non_integer_and_negative_ids(backend, bad):
+    for hierarchy in (
+        CacheHierarchy(TINY_BROADWELL),
+        vectorized(TINY_BROADWELL, backend),
+    ):
+        with pytest.raises(ValueError, match="line ids must be non-negative"):
+            hierarchy.access_lines(np.asarray(bad))
+        assert hierarchy.stats.total_line_accesses == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_access_lines_accepts_any_integer_dtype(backend):
+    ids = [5, 9, 5, 300]
+    for hierarchy in (
+        CacheHierarchy(TINY_BROADWELL),
+        vectorized(TINY_BROADWELL, backend),
+    ):
+        for dtype in (np.int64, np.int32, np.uint16):
+            hierarchy.access_lines(np.array(ids, dtype=dtype))
+        hierarchy.access_lines(ids)
+        hierarchy.access_lines(np.empty(0))
+        assert hierarchy.stats.total_line_accesses == 4 * len(ids)
+        assert hierarchy.stats.dram_accesses == 3
 
 
 class TestPrefetchLeakRegression:
@@ -291,6 +341,7 @@ class TestVectorizedCacheUnit:
         with pytest.raises(ValueError):
             VectorizedSetAssociativeCache("bad", 0)
 
+    @needs_kernel
     def test_probe_and_ages(self):
         cache = VectorizedSetAssociativeCache("L", 4096, 4, 64)
         h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
@@ -302,6 +353,7 @@ class TestVectorizedCacheUnit:
         assert ages[set3][np.where(h.l1.tags[set3] == 3)[0][0]] == 0
         assert (cache.age_matrix() == -1).all()  # empty cache: all empty
 
+    @needs_kernel
     def test_probe_lines_matches_scalar_probe(self):
         h = CacheHierarchy(TINY_BROADWELL, engine="vectorized")
         h.access_lines(np.arange(0, 200, 3, dtype=np.int64))

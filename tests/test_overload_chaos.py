@@ -10,7 +10,7 @@ the draw, the books must balance:
 
 Every example also draws which DES engine (``reference`` or
 ``vectorized``) runs it, so the invariants are exercised on both engines
-in the same sweep. CI runs this as a dedicated "chaos smoke" step with
+in the same sweep; the multi-model router has a single driver. CI runs this as a dedicated "chaos smoke" step with
 ``CHAOS_EXAMPLES=40``; crank the sweep with ``CHAOS_EXAMPLES=200``
 locally when touching the overload or DES layers.
 """
@@ -454,17 +454,14 @@ class TestMultiModelChaos:
         load_factor=st.floats(0.3, 6.0),
         weight=st.floats(0.05, 0.95),
         seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
     )
     def test_per_model_conservation(
-        self, pool, admission, faults, load_factor, weight, seed, engine
+        self, pool, admission, faults, load_factor, weight, seed
     ):
         overload = (
             None if admission is None else OverloadConfig(admission=admission)
         )
-        router = MultiModelRouter(
-            pool, overload=overload, seed=seed, engine=engine
-        )
+        router = MultiModelRouter(pool, overload=overload, seed=seed)
         result = router.run(
             DURATION_S,
             offered_qps=load_factor * len(MM_REPLICAS) / SERVICE_S,

@@ -60,4 +60,6 @@ REGISTRY = {
     "whatif": whatif_memory,
 }
 
-__all__ = ["REGISTRY"] + [name for name in REGISTRY]
+__all__ = ["REGISTRY"] + [
+    module.__name__.rpartition(".")[2] for module in REGISTRY.values()
+]

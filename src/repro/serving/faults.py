@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from .metrics import SLA, ResilienceStats, goodput_qps
-
-if TYPE_CHECKING:
-    from .multimodel import MultiModelPool
 from .ranking_quality import pipeline_quality
 from .router import SERVICE_NOISE_SIGMA, pick_machine
 
@@ -248,34 +245,20 @@ def fault_storm(
     bandwidth_dip_count: int = 1,
     bandwidth_fraction: tuple[float, float] = (0.3, 0.6),
     bandwidth_duration_frac: tuple[float, float] = (0.1, 0.3),
-    topology=None,
-    correlation: float = 0.0,
-    correlation_kind: str = "rack",
 ) -> FaultSchedule:
     """Draw a random fault storm from a dedicated seeded stream.
 
     Interval lengths are drawn as *fractions* of ``duration_s`` (the
     ``*_frac`` ranges) so the same storm shape scales with the simulated
-    horizon; counts are exact.
-
-    With a :class:`~repro.serving.domains.FleetTopology` and a positive
-    ``correlation``, each drawn crash/straggler *escalates* with that
-    probability to every replica sharing the victim's ``correlation_kind``
-    domain (rack power events instead of lone machine deaths). The base
-    draws happen first and are untouched, so ``correlation=0.0`` output is
-    byte-identical to the independent storm regardless of ``topology``.
+    horizon; counts are exact. Every event hits one replica on its own;
+    correlated storms (a rack or zone failing together) are drawn with
+    :func:`~repro.serving.domains.domain_storm` and lowered through
+    :meth:`~repro.serving.domains.DomainSchedule.expand_to_schedule`.
     """
     if num_replicas < 1:
         raise ValueError("need at least one replica")
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    if not 0.0 <= correlation <= 1.0:
-        raise ValueError("correlation must be in [0, 1]")
-    if topology is not None and topology.num_replicas != num_replicas:
-        raise ValueError(
-            f"topology covers {topology.num_replicas} replicas, "
-            f"storm covers {num_replicas}"
-        )
     rng = np.random.default_rng(seed)
 
     def interval_s(frac_range: tuple[float, float]) -> float:
@@ -307,34 +290,6 @@ def fault_storm(
         )
         for _ in range(bandwidth_dip_count)
     )
-    if topology is not None and correlation > 0.0:
-        # Escalation draws come after every base draw, preserving the
-        # base stream; each escalated event clones its interval onto the
-        # whole domain (bandwidth dips are already fleet-wide).
-        escalated_crashes: list[ReplicaCrash] = []
-        for crash in crashes:
-            if float(rng.uniform()) < correlation:
-                domain_id = topology.domain_of(crash.replica_id, correlation_kind)
-                escalated_crashes.extend(
-                    replace(crash, replica_id=r)
-                    for r in topology.replicas_in(correlation_kind, domain_id)
-                )
-            else:
-                escalated_crashes.append(crash)
-        escalated_stragglers: list[Straggler] = []
-        for straggler in stragglers:
-            if float(rng.uniform()) < correlation:
-                domain_id = topology.domain_of(
-                    straggler.replica_id, correlation_kind
-                )
-                escalated_stragglers.extend(
-                    replace(straggler, replica_id=r)
-                    for r in topology.replicas_in(correlation_kind, domain_id)
-                )
-            else:
-                escalated_stragglers.append(straggler)
-        crashes = tuple(escalated_crashes)
-        stragglers = tuple(escalated_stragglers)
     return FaultSchedule(crashes, stragglers, bandwidth_faults)
 
 
@@ -661,25 +616,11 @@ class ResilientRouter:
         metrics: MetricsRegistry | None = None,
         metrics_labels: dict[str, str] | None = None,
         engine: str = "reference",
-        pool: "MultiModelPool | None" = None,
     ) -> None:
         from .des import validate_engine
 
         if num_machines < 1:
             raise ValueError("need at least one machine")
-        if pool is not None and config.name not in pool.model_names:
-            raise ValueError(
-                f"model {config.name!r} is not registered in the "
-                f"multi-model pool {pool.model_names}"
-            )
-        #: Optional :class:`~repro.serving.multimodel.MultiModelPool` this
-        #: single-model run belongs to. The pool is a capacity contract —
-        #: construction already proved the model fits a replica resident —
-        #: plus an observability hook; it never perturbs the simulation
-        #: (a run with a pool is record-for-record identical to one
-        #: without). Cross-model dispatch lives in
-        #: :class:`~repro.serving.multimodel.MultiModelRouter`.
-        self.pool = pool
         self.engine = validate_engine(engine)
         self.server = server
         self.config = config
@@ -823,20 +764,12 @@ class ResilientRouter:
         if self.engine == "vectorized":
             from .des import run_router_vectorized
 
-            result = run_router_vectorized(
+            return run_router_vectorized(
                 self, offered_qps, duration_s, faults, sla, arrival_times_s
             )
-        else:
-            result = self._run_reference(
-                offered_qps, duration_s, faults, sla, arrival_times_s
-            )
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots",
-                model=self.config.name,
-                **self.metrics_labels,
-            ).set(float(self.pool.total_slots))
-        return result
+        return self._run_reference(
+            offered_qps, duration_s, faults, sla, arrival_times_s
+        )
 
     def _run_reference(
         self,

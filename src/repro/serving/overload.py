@@ -37,12 +37,13 @@ record for record):
   recovery. Each tier's recall/NDCG cost is priced by
   :func:`~repro.serving.faults.degraded_quality`, exporting the
   quality/goodput tradeoff instead of hiding it.
-* **Backpressure** — bounded queues turn "absorb unbounded work" into an
-  explicit queue-full signal. :class:`~repro.serving.batcher.Batcher`
-  raises :class:`~repro.serving.batcher.QueueFull` past its bound,
-  :class:`~repro.serving.batch_serving.BatchedServer` sheds instead of
-  queueing, and the router's shed events reach the client as fail-fasts
-  its retry policy can back off on.
+* **Backpressure** — admission is the only queue bound in
+  :mod:`repro.serving`. :class:`~repro.serving.simulator.ServingSimulator`,
+  :class:`~repro.serving.faults.ResilientRouter` and
+  :class:`~repro.serving.multimodel.MultiModelRouter` all apply it, and a
+  request shed at a replica reaches the router's client as a fail-fast
+  its retry policy can back off on. The offline batcher, batched server,
+  happy-path router and filter/rank pipeline queue without bound.
 
 Accounting lives in :class:`OverloadStats`; the conservation invariant
 every protected run must satisfy is checked by

@@ -23,11 +23,7 @@ from ..hw.timing import TimingModel
 
 @dataclass(frozen=True)
 class PipelineResult:
-    """Outcome of one filtering → ranking pass.
-
-    ``shed_candidates`` counts candidates dropped at admission by the
-    pipeline's ``max_candidates`` backpressure bound (0 when unbounded).
-    """
+    """Outcome of one filtering → ranking pass."""
 
     candidate_count: int
     filtered_count: int
@@ -36,7 +32,6 @@ class PipelineResult:
     scores: tuple[float, ...]
     filter_seconds: float
     rank_seconds: float
-    shed_candidates: int = 0
 
     @property
     def total_seconds(self) -> float:
@@ -47,18 +42,16 @@ class PipelineResult:
 class FilterRankPipeline:
     """Executable two-stage recommendation over synthetic candidates.
 
+    Every candidate offered to :meth:`recommend` is scored by the filter
+    stage; the pipeline models one request, not a queue, so it has no
+    admission bound.
+
     Args:
         filter_model: lightweight scoring model (RMC1-class).
         rank_model: heavyweight ranking model (RMC2/RMC3-class).
         filter_keep: candidates surviving the filtering step.
         final_keep: posts ultimately returned ("top tens").
         batch_size: inference batch for both stages.
-        max_candidates: backpressure bound on the filtering stage's
-            admission — a request carrying more candidates than this has
-            the excess shed at the door (reported as
-            ``shed_candidates``) instead of the filter stage absorbing
-            unbounded work. ``None`` (the default) scores every
-            candidate, as before.
     """
 
     def __init__(
@@ -68,20 +61,16 @@ class FilterRankPipeline:
         filter_keep: int = 64,
         final_keep: int = 10,
         batch_size: int = 64,
-        max_candidates: int | None = None,
     ) -> None:
         if final_keep > filter_keep:
             raise ValueError("final_keep cannot exceed filter_keep")
         if filter_keep < 1 or final_keep < 1 or batch_size < 1:
             raise ValueError("pipeline sizes must be positive")
-        if max_candidates is not None and max_candidates < filter_keep:
-            raise ValueError("max_candidates must be at least filter_keep")
         self.filter_model = filter_model
         self.rank_model = rank_model
         self.filter_keep = filter_keep
         self.final_keep = final_keep
         self.batch_size = batch_size
-        self.max_candidates = max_candidates
 
     def _score(self, model: RecommendationModel, generator: InputGenerator, count: int):
         """Score ``count`` candidates in batches; returns scores + seconds."""
@@ -101,13 +90,6 @@ class FilterRankPipeline:
         """Filter and rank ``candidate_count`` synthetic candidates."""
         if candidate_count < self.filter_keep:
             raise ValueError("candidate_count must be at least filter_keep")
-        shed_candidates = 0
-        if (
-            self.max_candidates is not None
-            and candidate_count > self.max_candidates
-        ):
-            shed_candidates = candidate_count - self.max_candidates
-            candidate_count = self.max_candidates
         filter_gen = InputGenerator(self.filter_model.config, seed=seed)
         filter_scores, filter_seconds = self._score(
             self.filter_model, filter_gen, candidate_count
@@ -128,7 +110,6 @@ class FilterRankPipeline:
             scores=tuple(float(rank_scores[i]) for i in order),
             filter_seconds=filter_seconds,
             rank_seconds=rank_seconds,
-            shed_candidates=shed_candidates,
         )
 
 

@@ -13,7 +13,11 @@ query arrivals, and three classic policies —
   fraction of its probing cost.
 
 Service times come from the timing model plus lognormal noise, so the
-policies are compared under realistic variability.
+policies are compared under realistic variability. Queues here are
+unbounded; admission control and shedding live in
+:class:`~repro.serving.overload.AdmissionPolicy`, which
+:class:`~repro.serving.faults.ResilientRouter` applies on the same routing
+policies.
 """
 
 from __future__ import annotations
@@ -77,8 +81,6 @@ def pick_machine(
 class RoutingResult:
     """Outcome of one routing simulation.
 
-    ``shed`` counts queries dropped at admission because the chosen
-    machine's queue was at ``queue_capacity`` (0 when unbounded);
     ``max_queue_depth`` is the deepest per-machine backlog observed.
     """
 
@@ -87,7 +89,6 @@ class RoutingResult:
     offered_qps: float
     latencies_s: np.ndarray
     duration_s: float
-    shed: int = 0
     max_queue_depth: int = 0
 
     def summary(self) -> LatencySummary:
@@ -109,13 +110,6 @@ class RequestRouter:
         num_machines: replica count.
         policy: one of :data:`POLICIES`.
         seed: RNG seed.
-        queue_capacity: admission bound per machine — a query routed to a
-            machine whose queue (waiting + in service) is at capacity is
-            shed (reject-newest) instead of enqueued. ``None`` (the
-            default) keeps the historical unbounded behaviour bit for
-            bit; richer shed policies live in
-            :class:`~repro.serving.overload.AdmissionPolicy` via
-            :class:`~repro.serving.faults.ResilientRouter`.
     """
 
     def __init__(
@@ -126,15 +120,11 @@ class RequestRouter:
         num_machines: int,
         policy: str = "jsq2",
         seed: int = 0,
-        queue_capacity: int | None = None,
     ) -> None:
         if num_machines < 1:
             raise ValueError("need at least one machine")
         if policy not in POLICIES:
             raise ValueError(f"unknown policy {policy!r}; valid: {POLICIES}")
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ValueError("queue_capacity must be positive")
-        self.queue_capacity = queue_capacity
         self.server = server
         self.config = config
         self.batch_size = batch_size
@@ -176,7 +166,6 @@ class RequestRouter:
         completions: list[tuple[float, int, int]] = []
         latencies: list[float] = []
         seq = 0
-        shed = 0
         max_queue_depth = 0
         for arrival in arrivals:
             # Drain completions before this arrival to keep queues current.
@@ -184,14 +173,6 @@ class RequestRouter:
                 _, _, machine = heapq.heappop(completions)
                 queue_depth[machine] -= 1
             machine = self._pick_machine(queue_depth, rr_state)
-            if (
-                self.queue_capacity is not None
-                and queue_depth[machine] >= self.queue_capacity
-            ):
-                # Admission bound: shed before the service draw, so the
-                # unbounded (capacity=None) run is untouched bit for bit.
-                shed += 1
-                continue
             sigma = SERVICE_NOISE_SIGMA
             service = self._base_service * float(
                 rng.lognormal(mean=-0.5 * sigma**2, sigma=sigma)
@@ -212,7 +193,6 @@ class RequestRouter:
             offered_qps=offered_qps,
             latencies_s=np.asarray(latencies),
             duration_s=duration_s,
-            shed=shed,
             max_queue_depth=max_queue_depth,
         )
 

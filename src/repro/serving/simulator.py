@@ -41,7 +41,6 @@ if TYPE_CHECKING:
     from ..obs.profile import OpProfiler
     from ..obs.tracer import NullTracer, Tracer
     from .faults import FaultSchedule
-    from .multimodel import MultiModelPool
     from .overload import OverloadConfig
 
 #: Baseline multiplicative latency noise (OS jitter, clock, queue probes).
@@ -236,25 +235,11 @@ class ServingSimulator:
         metrics: "MetricsRegistry | None" = None,
         engine: str = "reference",
         backend: str = "auto",
-        pool: "MultiModelPool | None" = None,
     ) -> None:
         from .des import validate_backend, validate_engine
 
         if num_instances < 1:
             raise ValueError("need at least one instance")
-        if pool is not None and config.name not in pool.model_names:
-            raise ValueError(
-                f"model {config.name!r} is not registered in the "
-                f"multi-model pool {pool.model_names}"
-            )
-        #: Optional :class:`~repro.serving.multimodel.MultiModelPool` this
-        #: single-model run belongs to. The pool is a capacity contract —
-        #: construction already proved the model fits a replica resident —
-        #: plus an observability hook; it never perturbs the simulation
-        #: (a run with a pool is record-for-record identical to one
-        #: without). Cross-model dispatch lives in
-        #: :class:`~repro.serving.multimodel.MultiModelRouter`.
-        self.pool = pool
         if per_instance_qps is not None and per_instance_qps <= 0:
             raise ValueError("per_instance_qps must be positive")
         self.engine = validate_engine(engine)
@@ -418,15 +403,9 @@ class ServingSimulator:
         if self.engine == "vectorized":
             from .des import run_simulator_vectorized
 
-            result = run_simulator_vectorized(self, duration_s)
-        else:
-            self.last_backend = "reference"
-            result = self._run_reference(duration_s)
-        if self.pool is not None and self.metrics is not None:
-            self.metrics.gauge(
-                "serving.multimodel.capacity_slots", model=self.config.name
-            ).set(float(self.pool.total_slots))
-        return result
+            return run_simulator_vectorized(self, duration_s)
+        self.last_backend = "reference"
+        return self._run_reference(duration_s)
 
     def _run_reference(self, duration_s: float) -> SimulationResult:
         """The per-event reference loop (the executable spec)."""

@@ -460,33 +460,6 @@ class TestCorrelatedScheduleEquivalence:
         assert ref_key == vec_key
         check_conservation(vec.offered, vec.completed, failed=vec.failed)
 
-    @EQUIV
-    @given(
-        storm_seed=st.integers(0, 2**16),
-        correlation=st.floats(0.0, 1.0),
-        load_factor=st.floats(0.3, 6.0),
-        seed=st.integers(0, 2**16),
-    )
-    def test_correlated_fault_storms_bit_identical(
-        self, storm_seed, correlation, load_factor, seed
-    ):
-        faults = fault_storm(
-            NUM_MACHINES,
-            DURATION_S,
-            seed=storm_seed,
-            topology=self.TOPOLOGY,
-            correlation=correlation,
-        )
-        keys = [
-            run_router(
-                engine, "round_robin", load_factor,
-                ResiliencePolicy.none(), None, faults, seed,
-            )[0]
-            for engine in ("reference", "vectorized")
-        ]
-        assert keys[0] == keys[1]
-
-
 class TestFleetDayEquivalence:
     def test_small_fleet_day_engine_invariant(self):
         from repro.experiments import fleet_day

@@ -9,7 +9,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serving import (
     SLA,
     AdmissionPolicy,
-    BatchedServer,
     BreakerPolicy,
     BrownoutPolicy,
     CircuitBreaker,
@@ -18,7 +17,6 @@ from repro.serving import (
     FaultSchedule,
     LoadSpike,
     OverloadConfig,
-    RequestRouter,
     ResiliencePolicy,
     ResilientRouter,
     ServingSimulator,
@@ -530,53 +528,7 @@ class TestServingSimulatorOverload:
         assert snapshot.counters["serving.overload.shed"] == 0
 
 
-# ------------------------------------------- backpressure + loadgen
-
-
-class TestRequestRouterCapacity:
-    def test_bounded_router_sheds_and_bounds_latency(self):
-        router = RequestRouter(
-            BROADWELL, RMC1_SMALL, 8, NUM_MACHINES, queue_capacity=8, seed=3
-        )
-        qps = 3.0 * router.max_stable_qps()
-        result = router.run(qps, duration_s=0.1)
-        assert result.shed > 0
-        assert result.max_queue_depth <= 8
-        unbounded = RequestRouter(
-            BROADWELL, RMC1_SMALL, 8, NUM_MACHINES, seed=3
-        ).run(qps, duration_s=0.1)
-        assert unbounded.shed == 0
-        assert float(result.latencies_s.max()) < float(
-            unbounded.latencies_s.max()
-        )
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            RequestRouter(
-                BROADWELL, RMC1_SMALL, 8, NUM_MACHINES, queue_capacity=0
-            )
-
-
-class TestBatchedServerBackpressure:
-    def test_backpressure_sheds_under_overload(self):
-        server = BatchedServer(
-            BROADWELL, RMC1_SMALL, max_batch=8, queue_capacity=2
-        )
-        service_s = server._service_s(8)
-        qps = 4.0 * 8.0 / service_s
-        result = server.simulate(qps, duration_s=0.05, seed=1)
-        assert result.shed > 0
-        unbounded = BatchedServer(BROADWELL, RMC1_SMALL, max_batch=8).simulate(
-            qps, duration_s=0.05, seed=1
-        )
-        assert unbounded.shed == 0
-        assert float(result.query_latencies_s.max()) < float(
-            unbounded.query_latencies_s.max()
-        )
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            BatchedServer(BROADWELL, RMC1_SMALL, queue_capacity=0)
+# ------------------------------------------------------------- loadgen
 
 
 class TestDiurnalLoadGenerator:

@@ -41,7 +41,6 @@ from repro.serving import (
     check_conservation,
     default_brownout_tiers,
     domain_storm,
-    fault_storm,
     recovery_timeline,
     replicate_shards,
     shard_tables,
@@ -294,25 +293,12 @@ DOMAIN_TOPOLOGY = FleetTopology(
 
 
 def correlated_schedules() -> st.SearchStrategy[FaultSchedule]:
-    """Correlated storms lowered to plain schedules, both generators."""
-    expanded = st.integers(0, 2**16).map(
+    """Correlated domain storms lowered to plain schedules."""
+    return st.integers(0, 2**16).map(
         lambda s: domain_storm(
             DOMAIN_TOPOLOGY, DURATION_S, seed=s
         ).expand_to_schedule(DOMAIN_TOPOLOGY)
     )
-    escalated = st.tuples(
-        st.integers(0, 2**16), st.floats(0.0, 1.0)
-    ).map(
-        lambda args: fault_storm(
-            NUM_MACHINES,
-            DURATION_S,
-            seed=args[0],
-            topology=DOMAIN_TOPOLOGY,
-            correlation=args[1],
-            correlation_kind="zone",
-        )
-    )
-    return st.one_of(expanded, escalated)
 
 
 class TestDomainChaos:
@@ -490,57 +476,3 @@ class TestMultiModelChaos:
             ) + ovl.shed_by_reason.get("deadline_hopeless", 0)
             assert ovl.admitted + door_shed == ovl.offered
             assert ovl.shed == sum(ovl.shed_by_reason.values())
-
-    @CHAOS
-    @given(
-        faults=fault_schedules(),
-        load_factor=st.floats(0.3, 6.0),
-        seed=st.integers(0, 2**16),
-        engine=st.sampled_from(("reference", "vectorized")),
-    )
-    def test_single_model_pool_is_observationally_inert(
-        self, faults, load_factor, seed, engine
-    ):
-        """``pool=`` must leave single-model runs record-for-record equal."""
-        pool = MultiModelPool(MM_REPLICAS, (RMC1_SMALL,), slots_per_replica=1)
-
-        def run_router(pool_arg):
-            return ResilientRouter(
-                BROADWELL,
-                RMC1_SMALL,
-                8,
-                NUM_MACHINES,
-                seed=seed,
-                engine=engine,
-                pool=pool_arg,
-            ).run(
-                offered_qps=load_factor * NUM_MACHINES / SERVICE_S,
-                duration_s=DURATION_S,
-                faults=faults,
-                sla=SLA(deadline_s=25.0 * SERVICE_S),
-            )
-
-        with_pool, without = run_router(pool), run_router(None)
-        assert with_pool.offered == without.offered
-        assert with_pool.completed == without.completed
-        assert list(with_pool.latencies_s) == list(without.latencies_s)
-
-        def run_sim(pool_arg):
-            return ServingSimulator(
-                BROADWELL,
-                RMC1_SMALL,
-                batch_size=8,
-                num_instances=NUM_MACHINES,
-                per_instance_qps=load_factor / SERVICE_S,
-                seed=seed,
-                faults=faults,
-                engine=engine,
-                pool=pool_arg,
-            ).run(duration_s=DURATION_S)
-
-        sim_with, sim_without = run_sim(pool), run_sim(None)
-        assert sim_with.offered == sim_without.offered
-        # RecordBatch (vectorized) and list[InferenceRecord] (reference)
-        # are duck-compatible: indexing yields comparable records.
-        assert list(sim_with.records) == list(sim_without.records)
-        assert list(sim_with.latencies_s()) == list(sim_without.latencies_s())

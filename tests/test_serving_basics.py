@@ -160,25 +160,3 @@ class TestBatcher:
         assert batcher.flush(0.0) is None
         assert batcher.poll(10.0) is None
         assert batcher.pending_items == 0
-
-    def test_single_request_batch_under_backpressure(self):
-        """A capacity-1 batcher still forms batches, one query at a time."""
-        batcher = Batcher(max_items=8, max_wait_s=10, max_pending_items=1)
-        assert not batcher.at_capacity
-        assert batcher.offer(self.q(0, 0.0)) is None
-        assert batcher.at_capacity
-        with pytest.raises(ValueError):
-            batcher.offer(self.q(1, 0.001))
-        batch = batcher.flush(0.002)
-        assert batch.num_items == 1
-        assert not batcher.at_capacity  # dispatch releases the bound
-        assert batcher.offer(self.q(2, 0.003)) is None
-
-    def test_multi_item_query_consumes_capacity(self):
-        batcher = Batcher(max_items=16, max_wait_s=10, max_pending_items=4)
-        batcher.offer(self.q(0, 0.0, items=4))
-        assert batcher.at_capacity
-
-    def test_rejects_bad_pending_bound(self):
-        with pytest.raises(ValueError):
-            Batcher(max_items=4, max_pending_items=0)

@@ -80,7 +80,7 @@ def run(
     curve_jobs: tuple[int, ...] = (1, 4, 8, 16, 24, 32, 40),
     duration_s: float = 0.6,
     seed: int = 11,
-    engine: str = "reference",
+    engine: str = "vectorized",
 ) -> Figure11Result:
     """Simulate the production tail-latency study.
 

@@ -138,7 +138,7 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_policy: str = "retry+hedge",
-    engine: str = "reference",
+    engine: str = "vectorized",
 ) -> Figure11xResult:
     """Replay one seeded fault storm against the resilience-policy ladder.
 
@@ -161,8 +161,8 @@ def run(
         metrics: optional :class:`~repro.obs.metrics.MetricsRegistry` every
             rung records into, labelled ``policy=<name>``.
         trace_policy: which ladder rung the ``tracer`` observes.
-        engine: DES engine for every rung (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
+        engine: DES engine for every rung: ``vectorized`` (default)
+            or the ``reference`` spec; results are bit-identical.
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")

@@ -176,7 +176,7 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_policy: str = "admission+breaker+brownout",
-    engine: str = "reference",
+    engine: str = "vectorized",
 ) -> Figure11yResult:
     """Replay one seeded flash crowd against the protection ladder.
 
@@ -201,8 +201,8 @@ def run(
         metrics: optional registry every rung records into, labelled
             ``policy=<name>``.
         trace_policy: which ladder rung the ``tracer`` observes.
-        engine: DES engine for every rung (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
+        engine: DES engine for every rung: ``vectorized`` (default)
+            or the ``reference`` spec; results are bit-identical.
     """
     if not 0.0 < base_utilization < 1.0:
         raise ValueError("base_utilization must be in (0, 1)")

@@ -234,7 +234,7 @@ def run(
     tracer: Tracer | NullTracer | None = None,
     metrics: MetricsRegistry | None = None,
     trace_cell: str = "zone/k2",
-    engine: str = "reference",
+    engine: str = "vectorized",
 ) -> Figure11zResult:
     """Replay one seeded trace across the zone-loss × replication ladder.
 
@@ -256,8 +256,8 @@ def run(
         metrics: optional registry every cell records into, labelled
             ``cell=<scenario>/k<k>``.
         trace_cell: which cell the ``tracer`` observes.
-        engine: DES engine for every cell (``reference`` or
-            ``vectorized``); results are bit-identical across engines.
+        engine: DES engine for every cell: ``vectorized`` (default)
+            or the ``reference`` spec; results are bit-identical.
     """
     if not 0.0 < utilization < 1.0:
         raise ValueError("utilization must be in (0, 1)")

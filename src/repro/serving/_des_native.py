@@ -590,14 +590,7 @@ def simulate_native(
         )
         bw_start = _as_f64([b.start_s for b in bws])
         bw_end = _as_f64([b.start_s + b.duration_s for b in bws])
-        # Amdahl stretch on the memory-bound share, computed once per
-        # fault in the exact float order of service_multiplier().
-        bw_mult = _as_f64(
-            [
-                1.0 + memory_fraction * (1.0 / b.bandwidth_fraction - 1.0)
-                for b in bws
-            ]
-        )
+        bw_mult = _as_f64([b.service_factor(memory_fraction) for b in bws])
     else:
         str_rep = bw_rep = _as_i64([])
         str_start = str_end = str_slow = _as_f64([])

@@ -57,7 +57,7 @@ from .overload import (
     CircuitBreaker,
     OverloadStats,
 )
-from .router import SERVICE_NOISE_SIGMA, pick_machine
+from .router import SERVICE_NOISE_SIGMA, replica_picker
 
 if TYPE_CHECKING:
     from .faults import FaultSchedule, FaultyServingResult, ResilientRouter
@@ -685,7 +685,7 @@ def run_router_vectorized(
     admitted_flags = [True] * num_machines
     running: list[int | None] = [None] * num_machines
     queues: list[deque] = [deque() for _ in range(num_machines)]
-    rr_state = [0]
+    pick = replica_picker(router.routing, rng)
 
     # Incremental fleet aggregates (the reference recomputes these with
     # O(M) scans at every event):
@@ -750,6 +750,7 @@ def run_router_vectorized(
     fault_t: list[float] = [e[0] for e in transitions]
     fault_machine: list[int] = [e[1] for e in transitions]
     fault_down: list[bool] = [e[2] for e in transitions]
+    slowdowns = faults.service_slowdowns(num_machines, router._memory_fraction)
 
     probe_ts: list[float] = []
     if policy.health_check_interval_s is not None:
@@ -905,9 +906,10 @@ def run_router_vectorized(
                 if request.degraded
                 else router._tier_service_s[request.tier]
             )
-            multiplier = faults.service_multiplier(
-                machine, now_s, router._memory_fraction
-            )
+            multiplier = 1.0
+            for start_s, end_s, factor in slowdowns[machine]:
+                if start_s <= now_s < end_s:
+                    multiplier *= factor
             sigma = SERVICE_NOISE_SIGMA
             service_s = (
                 base_s
@@ -939,9 +941,7 @@ def run_router_vectorized(
         if not cands:
             attempt_failed(request_id, now_s)
             return
-        machine = pick_machine(
-            router.routing, rng, depth, rr_state, candidates=cands
-        )
+        machine = pick(cands, depth)
         if not up[machine]:
             fail_fasts += 1
             eject(machine)

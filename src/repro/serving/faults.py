@@ -132,6 +132,10 @@ class BandwidthFault:
         if not 0.0 < self.bandwidth_fraction <= 1.0:
             raise ValueError("bandwidth_fraction must be in (0, 1]")
 
+    def service_factor(self, memory_fraction: float) -> float:
+        """Service-time factor while active: Amdahl on the memory-bound share."""
+        return 1.0 + memory_fraction * (1.0 / self.bandwidth_fraction - 1.0)
+
 
 class FaultSchedule:
     """A composed, clock-driven set of fault injections.
@@ -205,8 +209,42 @@ class FaultSchedule:
             if b.replica_id is not None and b.replica_id != replica_id:
                 continue
             if b.start_s <= t_s < b.start_s + b.duration_s:
-                multiplier *= 1.0 + memory_fraction * (1.0 / b.bandwidth_fraction - 1.0)
+                multiplier *= b.service_factor(memory_fraction)
         return multiplier
+
+    def service_slowdowns(
+        self, num_replicas: int, memory_fraction: float = 1.0
+    ) -> list[list[tuple[float, float, float]]]:
+        """Per-replica ``(start_s, end_s, factor)`` windows of :meth:`service_multiplier`.
+
+        Multiplying, from 1.0 and in list order, the factors of the
+        windows with ``start_s <= t_s < end_s`` gives exactly
+        ``service_multiplier(replica_id, t_s, memory_fraction)``: each list
+        keeps the stragglers and then the bandwidth faults in schedule
+        order, so the float products are the same.
+        """
+        if not 0.0 <= memory_fraction <= 1.0:
+            raise ValueError("memory_fraction must be in [0, 1]")
+        windows: list[list[tuple[float, float, float]]] = [
+            [] for _ in range(num_replicas)
+        ]
+        for s in self.stragglers:
+            if s.replica_id < num_replicas:
+                windows[s.replica_id].append(
+                    (s.start_s, s.start_s + s.duration_s, s.slowdown)
+                )
+        for b in self.bandwidth_faults:
+            window = (
+                b.start_s,
+                b.start_s + b.duration_s,
+                b.service_factor(memory_fraction),
+            )
+            if b.replica_id is None:
+                for replica_windows in windows:
+                    replica_windows.append(window)
+            elif b.replica_id < num_replicas:
+                windows[b.replica_id].append(window)
+        return windows
 
     def transition_events(self, num_replicas: int) -> list[tuple[float, int, bool]]:
         """All ``(time_s, replica_id, goes_down)`` crash/restart edges."""

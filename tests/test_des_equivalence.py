@@ -24,6 +24,7 @@ from repro.hw import BROADWELL
 from repro.serving import (
     SLA,
     AdmissionPolicy,
+    BandwidthFault,
     BreakerPolicy,
     BrownoutPolicy,
     FaultSchedule,
@@ -115,10 +116,18 @@ def fault_schedules(
         duration_s=st.floats(0.05 * DURATION_S, 0.5 * DURATION_S),
         slowdown=st.floats(2.0, 20.0),
     )
+    bandwidth = st.builds(
+        BandwidthFault,
+        start_s=st.floats(0.0, 0.8 * DURATION_S),
+        duration_s=st.floats(0.05 * DURATION_S, 0.5 * DURATION_S),
+        bandwidth_fraction=st.floats(0.2, 1.0),
+        replica_id=st.one_of(st.none(), st.integers(0, num_replicas - 1)),
+    )
     schedule = st.builds(
         FaultSchedule,
         crashes=st.lists(crash, max_size=2),
         stragglers=st.lists(straggler, max_size=2),
+        bandwidth_faults=st.lists(bandwidth, max_size=2),
     )
     return st.one_of(st.none(), schedule)
 
@@ -417,9 +426,11 @@ class TestRouterEquivalence:
         assert dumps[0] == dumps[1]
 
 
+@pytest.mark.parametrize("routing", ["round_robin", "jsq2", "random"])
 class TestCorrelatedScheduleEquivalence:
     """Domain schedules lower to plain fault primitives, so the two-engine
-    bit-identity proof must keep holding on correlated storms too."""
+    bit-identity proof must keep holding on correlated storms too, under
+    every routing policy and at fleet scale."""
 
     TOPOLOGY = FleetTopology(
         num_replicas=NUM_MACHINES,
@@ -436,7 +447,7 @@ class TestCorrelatedScheduleEquivalence:
         seed=st.integers(0, 2**16),
     )
     def test_expanded_domain_storms_bit_identical(
-        self, storm_seed, load_factor, timeout_factor, seed
+        self, routing, storm_seed, load_factor, timeout_factor, seed
     ):
         storm = domain_storm(self.TOPOLOGY, DURATION_S, seed=storm_seed)
         faults = storm.expand_to_schedule(self.TOPOLOGY)
@@ -450,15 +461,89 @@ class TestCorrelatedScheduleEquivalence:
             )
         )
         ref_key, ref = run_router(
-            "reference", "round_robin", load_factor, policy, None, faults,
-            seed,
+            "reference", routing, load_factor, policy, None, faults, seed
         )
         vec_key, vec = run_router(
-            "vectorized", "round_robin", load_factor, policy, None, faults,
-            seed,
+            "vectorized", routing, load_factor, policy, None, faults, seed
         )
         assert ref_key == vec_key
         check_conservation(vec.offered, vec.completed, failed=vec.failed)
+
+    def test_fleet_scale_storm_bit_identical(self, routing):
+        # 257 replicas: candidate counts far above NUM_MACHINES, an odd
+        # fleet that fills no rack evenly, and a host/rack storm plus
+        # fleet-wide and per-replica bandwidth dips on top.
+        num_replicas = 257
+        duration_s = 0.0006  # ~3k requests
+        topology = FleetTopology(
+            num_replicas=num_replicas,
+            replicas_per_host=2,
+            hosts_per_rack=8,
+            racks_per_zone=4,
+        )
+        expanded = domain_storm(
+            topology, duration_s, seed=21, crash_count=4, slowdown_count=3
+        ).expand_to_schedule(topology)
+        # Replica 100 stacks three overlapping windows, where the order of
+        # the float product shows.
+        faults = FaultSchedule(
+            crashes=expanded.crashes,
+            stragglers=expanded.stragglers
+            + (Straggler(100, 0.2 * duration_s, 0.6 * duration_s, 1.5),),
+            bandwidth_faults=(
+                BandwidthFault(0.1 * duration_s, 0.5 * duration_s, 0.4),
+                BandwidthFault(
+                    0.3 * duration_s, 0.4 * duration_s, 0.5, replica_id=100
+                ),
+            ),
+        )
+        policy = ResiliencePolicy(
+            timeout_s=30.0 * SERVICE_S,
+            max_retries=2,
+            backoff_base_s=SERVICE_S,
+            hedge_delay_s=6.0 * SERVICE_S,
+            health_check_interval_s=50.0 * SERVICE_S,
+        )
+        overload = OverloadConfig(
+            admission=AdmissionPolicy(
+                queue_capacity=8,
+                shed_policy="deadline_aware",
+                deadline_s=15.0 * SERVICE_S,
+            ),
+            breaker=BreakerPolicy(
+                failure_threshold=2,
+                window_s=60.0 * SERVICE_S,
+                open_duration_s=100.0 * SERVICE_S,
+                half_open_probes=2,
+            ),
+        )
+        keys = {}
+        for engine in ("reference", "vectorized"):
+            router = ResilientRouter(
+                BROADWELL,
+                RMC1_SMALL,
+                8,
+                num_replicas,
+                routing=routing,
+                policy=policy,
+                overload=overload,
+                seed=13,
+                engine=engine,
+            )
+            result = router.run(
+                offered_qps=1.1 * num_replicas / SERVICE_S,
+                duration_s=duration_s,
+                faults=faults,
+                sla=SLA(deadline_s=25.0 * SERVICE_S),
+            )
+            keys[engine] = router_key(result)
+        assert keys["reference"] == keys["vectorized"]
+        assert result.offered > 1000
+        assert result.retries > 0 and result.hedges > 0
+        assert result.overload.breaker_opens > 0
+        check_conservation(
+            result.offered, result.completed, failed=result.failed
+        )
 
 class TestFleetDayEquivalence:
     def test_small_fleet_day_engine_invariant(self):

@@ -74,6 +74,21 @@ class TestScheduleProperties:
                 assert schedule.service_multiplier(replica, t, frac) >= 1.0
 
     @settings(max_examples=60, deadline=None)
+    @given(
+        schedule=fault_schedules(),
+        t=st.floats(0.0, 2 * DURATION_S),
+        frac=st.floats(0.0, 1.0),
+    )
+    def test_slowdown_windows_reproduce_multiplier(self, schedule, t, frac):
+        windows = schedule.service_slowdowns(NUM_REPLICAS, frac)
+        for replica in range(NUM_REPLICAS):
+            multiplier = 1.0
+            for start_s, end_s, factor in windows[replica]:
+                if start_s <= t < end_s:
+                    multiplier *= factor
+            assert multiplier == schedule.service_multiplier(replica, t, frac)
+
+    @settings(max_examples=60, deadline=None)
     @given(schedule=fault_schedules(), t=st.floats(0.0, 2 * DURATION_S))
     def test_healthy_fraction_bounded(self, schedule, t):
         frac = schedule.healthy_fraction(t, NUM_REPLICAS)

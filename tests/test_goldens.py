@@ -104,6 +104,7 @@ def test_fig11_tail_latency_golden(golden):
         curve_jobs=(1, 8, 16),
         duration_s=0.15,
         seed=11,
+        engine="reference",
     )
     golden("fig11_tail_latency", _fig11_payload(result))
 
@@ -138,7 +139,9 @@ def _fig11x_payload(result):
 
 
 def test_fig11x_faults_golden(golden):
-    result = fig11x_faults.run(num_machines=4, duration_s=0.4, seed=11)
+    result = fig11x_faults.run(
+        num_machines=4, duration_s=0.4, seed=11, engine="reference"
+    )
     golden("fig11x_faults", _fig11x_payload(result))
 
 
@@ -184,7 +187,7 @@ def _fig11y_payload(result):
 
 
 def test_fig11y_overload_golden(golden):
-    result = fig11y_overload.run(duration_s=0.25, seed=11)
+    result = fig11y_overload.run(duration_s=0.25, seed=11, engine="reference")
     golden("fig11y_overload", _fig11y_payload(result))
 
 
@@ -222,17 +225,19 @@ def _fig11z_payload(result):
 
 
 def test_fig11z_domains_golden(golden):
-    result = fig11z_domains.run(duration_s=0.4, seed=11)
+    result = fig11z_domains.run(duration_s=0.4, seed=11, engine="reference")
     golden("fig11z_domains", _fig11z_payload(result))
 
 
 # --- Engine byte-identity against the checked-in goldens -------------------
 #
-# The goldens above were recorded with the reference DES engine. Re-running
-# each DES-backed figure with ``engine="vectorized"`` must reproduce the
-# same golden byte for byte — the two engines are one model. Figures 9, 10
-# and 14 contain no DES (analytic roofline sweeps and a cache trace), so
-# the reference goldens already cover every engine for them.
+# The goldens above were recorded with the reference DES engine, pinned
+# explicitly because the figures default to ``engine="vectorized"``.
+# Re-running each DES-backed figure with ``engine="vectorized"`` must
+# reproduce the same golden byte for byte — the two engines are one model.
+# Figures 9, 10 and 14 contain no DES (analytic roofline sweeps and a
+# cache trace), so the reference goldens already cover every engine for
+# them.
 
 
 def test_fig11_vectorized_engine_matches_golden(golden):

@@ -1,9 +1,8 @@
 """Ablation: memory-system optimizations for embedding-dominated models.
 
-Three remedies the paper points to for RMC2-class models, evaluated
-end-to-end: near-memory SLS execution, int8-quantized tables, and DRAM/NVM
-tiering — the optimization directions its open-source benchmark was
-released to enable.
+Two remedies the paper points to for RMC2-class models, evaluated
+end-to-end: near-memory SLS execution and int8-quantized tables — the
+optimization directions its open-source benchmark was released to enable.
 """
 
 from dataclasses import replace
@@ -12,11 +11,8 @@ from conftest import emit
 
 from repro.analysis import format_table
 from repro.config import RMC2_SMALL
-from repro.data.sparse import ZipfSparseGenerator
 from repro.hw import BROADWELL, TimingModel
-from repro.memory import NmpConfig, nmp_speedup, plan_tiering
-
-import numpy as np
+from repro.memory import NmpConfig, nmp_speedup
 
 
 def run_study():
@@ -28,16 +24,11 @@ def run_study():
     int8_cfg = replace(RMC2_SMALL, dtype="int8")
     int8_latency_s = timing.model_latency(int8_cfg, 16).total_seconds
 
-    rng = np.random.default_rng(0)
-    gen = ZipfSparseGenerator(rows=100_000, lookups_per_sample=1, alpha=1.1)
-    trace = gen.ids(40_000, rng)
-    tiering = plan_tiering(RMC2_SMALL, trace, table_rows=100_000, dram_fraction=0.2)
-
-    return baseline, nmp, int8_cfg, int8_latency_s, tiering
+    return baseline, nmp, int8_cfg, int8_latency_s
 
 
 def test_ablation_memory_system(benchmark):
-    baseline, nmp, int8_cfg, int8_latency_s, tiering = benchmark(run_study)
+    baseline, nmp, int8_cfg, int8_latency_s = benchmark(run_study)
     rows = [
         ["baseline fp32", f"{baseline * 1e3:.2f} ms", "1.00x", "-"],
         [
@@ -52,12 +43,6 @@ def test_ablation_memory_system(benchmark):
             f"{baseline / int8_latency_s:.2f}x",
             f"{int8_cfg.embedding_storage_bytes() / 1e9:.1f} GB (4x smaller)",
         ],
-        [
-            "DRAM/NVM tiering (20% DRAM)",
-            f"{tiering.slowdown_vs_dram:.2f}x per-lookup",
-            "-",
-            f"{100 * tiering.dram_savings_fraction:.0f}% DRAM saved",
-        ],
     ]
     emit(
         "Ablation: memory-system remedies for RMC2 (batch 16, Broadwell)",
@@ -65,6 +50,3 @@ def test_ablation_memory_system(benchmark):
     )
     assert nmp.end_to_end_speedup > 2.0
     assert int8_cfg.embedding_storage_bytes() * 4 == RMC2_SMALL.embedding_storage_bytes()
-    assert tiering.dram_savings_fraction == 0.8
-    # Skewed traces keep tiering's latency penalty moderate.
-    assert tiering.slowdown_vs_dram < 2.5

@@ -1,21 +1,17 @@
 """Memory-system optimization study for the embedding-dominated RMC2.
 
-Walks the three remedies the paper's analysis motivates for models whose
+Walks the two remedies the paper's analysis motivates for models whose
 latency lives in SparseLengthsSum:
 
-1. software embedding caches exploiting production trace locality
-   (Figure 14) — hit ratio by policy and capacity;
-2. int8-quantized tables — 4x smaller storage and gathered bytes, with the
+1. int8-quantized tables — 4x smaller storage and gathered bytes, with the
    measured numerical error of the executable quantized operator;
-3. DRAM/NVM tiering — capacity savings vs lookup-latency cost;
-4. near-memory SLS execution — end-to-end Amdahl gain.
+2. near-memory SLS execution — end-to-end Amdahl gain.
 
 Run:  python examples/memory_system_study.py
 """
 
 import numpy as np
 
-from repro.analysis import format_table
 from repro.config import RMC2_SMALL
 from repro.core.operators import (
     EmbeddingTable,
@@ -24,32 +20,12 @@ from repro.core.operators import (
     SparseBatch,
     SparseLengthsSum,
 )
-from repro.data import ZipfSparseGenerator
 from repro.hw import BROADWELL, TimingModel
-from repro.memory import (
-    LfuRowCache,
-    LruRowCache,
-    NmpConfig,
-    nmp_speedup,
-    plan_tiering,
-)
-
-
-def cache_study(rows: np.ndarray) -> None:
-    print("1) software embedding caches (Zipf-popular IDs, long tail):")
-    table_rows = []
-    for capacity in (10_000, 50_000, 200_000):
-        lru = LruRowCache(capacity).replay(rows)
-        lfu = LfuRowCache(capacity).replay(rows)
-        table_rows.append(
-            [f"{capacity:,} rows", f"{100 * lru.hit_ratio:.1f}%",
-             f"{100 * lfu.hit_ratio:.1f}%"]
-        )
-    print(format_table(["capacity", "LRU hit", "LFU hit"], table_rows))
+from repro.memory import NmpConfig, nmp_speedup
 
 
 def quantization_study() -> None:
-    print("\n2) int8 row-wise quantization (executable):")
+    print("1) int8 row-wise quantization (executable):")
     fp32 = EmbeddingTable(20_000, 32, rng=np.random.default_rng(1))
     q = QuantizedEmbeddingTable.quantize(fp32)
     sls = SparseLengthsSum("fp32", fp32, 80)
@@ -67,27 +43,8 @@ def quantization_study() -> None:
           f"{RMC2_SMALL.embedding_storage_bytes() / 4e9:.1f} GB")
 
 
-def tiering_study(rows: np.ndarray, table_rows: int) -> None:
-    print("\n3) DRAM/NVM tiering (hot set profiled on first half, "
-          "evaluated on second):")
-    half = rows.size // 2
-    profile, evaluate = rows[:half], rows[half:]
-    table = []
-    for fraction in (0.002, 0.01, 0.05):
-        plan = plan_tiering(RMC2_SMALL, profile, table_rows, fraction, evaluate)
-        table.append(
-            [f"{100 * fraction:.1f}% DRAM",
-             f"{100 * plan.dram_hit_ratio:.0f}%",
-             f"{plan.slowdown_vs_dram:.2f}x",
-             f"{100 * plan.dram_savings_fraction:.0f}%"]
-        )
-    print(format_table(
-        ["DRAM budget", "lookups served by DRAM", "per-lookup slowdown",
-         "DRAM saved"], table))
-
-
 def nmp_study() -> None:
-    print("\n4) near-memory SLS execution:")
+    print("\n2) near-memory SLS execution:")
     for speedup in (4, 8, 16):
         result = nmp_speedup(
             BROADWELL, RMC2_SMALL, 16, NmpConfig(sls_speedup=speedup)
@@ -101,12 +58,7 @@ def main() -> None:
     baseline = TimingModel(BROADWELL).model_latency(RMC2_SMALL, 16).total_seconds
     print(f"target: {RMC2_SMALL.name}, baseline Broadwell latency "
           f"{baseline * 1e3:.2f} ms at batch 16\n")
-    table_rows = 1_000_000
-    generator = ZipfSparseGenerator(table_rows, 1, alpha=1.05)
-    rows = generator.ids(60_000, np.random.default_rng(0))
-    cache_study(rows)
     quantization_study()
-    tiering_study(rows, table_rows)
     nmp_study()
 
 

@@ -11,7 +11,6 @@ from .criteo import (
 from .dataset import InputGenerator, generate_inputs
 from .synthetic_ctr import CtrBatch, SyntheticCtrDataset
 from .dense import dense_features
-from .reuse import ReuseProfile, reuse_profile, stack_distances
 from .sparse import (
     SparseGenerator,
     TemporalReuseGenerator,
@@ -32,9 +31,6 @@ __all__ = [
     "InputGenerator",
     "generate_inputs",
     "dense_features",
-    "ReuseProfile",
-    "reuse_profile",
-    "stack_distances",
     "SparseGenerator",
     "TemporalReuseGenerator",
     "UniformSparseGenerator",

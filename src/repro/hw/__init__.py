@@ -8,8 +8,6 @@ from .accelerator import (
 )
 from .cache import CacheStats, SetAssociativeCache
 from .colocation import ColocationState, ContentionModel, RUN_ALONE
-from .energy import EnergyEstimate, efficiency_comparison, inference_energy
-from .numa import NumaLatency, numa_latency, placement_comparison
 from .hierarchy import CacheHierarchy, HierarchyStats
 from .server import (
     ALL_SERVERS,
@@ -49,12 +47,6 @@ __all__ = [
     "ColocationState",
     "ContentionModel",
     "RUN_ALONE",
-    "EnergyEstimate",
-    "efficiency_comparison",
-    "inference_energy",
-    "NumaLatency",
-    "numa_latency",
-    "placement_comparison",
     "CacheHierarchy",
     "HierarchyStats",
     "ALL_SERVERS",

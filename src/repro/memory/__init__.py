@@ -1,13 +1,5 @@
-"""Memory-system studies: embedding caches, DRAM/NVM tiering, near-memory."""
+"""Memory-system studies: near-memory SLS processing (RecNMP)."""
 
-from .embedding_cache import (
-    CacheReplayResult,
-    LfuRowCache,
-    LruRowCache,
-    RowCache,
-    StaticHotRowCache,
-    sweep_cache_sizes,
-)
 from .near_memory import (
     AmdahlCrossCheck,
     NearMemorySystem,
@@ -19,23 +11,8 @@ from .near_memory import (
     nmp_speedup,
 )
 from .nmp_native import nmp_native_available
-from .sizing import SizingPlan, SizingPoint, plan_cache_size
-from .tiering import (
-    DRAM_ROW_NS,
-    NVM_ROW_NS,
-    TieredPlacement,
-    plan_tiering,
-    popularity_hit_ratio,
-    sweep_dram_fractions,
-)
 
 __all__ = [
-    "CacheReplayResult",
-    "LfuRowCache",
-    "LruRowCache",
-    "RowCache",
-    "StaticHotRowCache",
-    "sweep_cache_sizes",
     "AmdahlCrossCheck",
     "NearMemorySystem",
     "NmpConfig",
@@ -45,13 +22,4 @@ __all__ = [
     "amdahl_crosscheck",
     "nmp_native_available",
     "nmp_speedup",
-    "SizingPlan",
-    "SizingPoint",
-    "plan_cache_size",
-    "DRAM_ROW_NS",
-    "NVM_ROW_NS",
-    "TieredPlacement",
-    "plan_tiering",
-    "popularity_hit_ratio",
-    "sweep_dram_fractions",
 ]

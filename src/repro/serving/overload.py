@@ -42,8 +42,8 @@ record for record):
   :class:`~repro.serving.faults.ResilientRouter` and
   :class:`~repro.serving.multimodel.MultiModelRouter` all apply it, and a
   request shed at a replica reaches the router's client as a fail-fast
-  its retry policy can back off on. The offline batcher, batched server,
-  happy-path router and filter/rank pipeline queue without bound.
+  its retry policy can back off on. The happy-path router queues without
+  bound.
 
 Accounting lives in :class:`OverloadStats`; the conservation invariant
 every protected run must satisfy is checked by

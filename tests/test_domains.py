@@ -16,34 +16,27 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.config import RMC1_SMALL
-from repro.hw import BROADWELL, SKYLAKE
+from repro.hw import BROADWELL
 from repro.serving import (
     DOMAIN_HOST,
     DOMAIN_KINDS,
     DOMAIN_RACK,
     DOMAIN_ZONE,
-    SLA,
     DomainCrash,
     DomainPartition,
     DomainSchedule,
     DomainSlowdown,
     FleetTopology,
-    MachinePool,
     NetworkConfig,
-    WorkloadDemand,
     best_spread,
     distributed_latency,
     diverse_domain_order,
-    domain_failures,
     domain_storm,
-    domain_survivable_capacity,
     expand_to_schedule,
     partial_fanout_config,
     recovery_timeline,
     replicate_shards,
     shard_tables,
-    survivable_capacity,
-    worst_single_domain_loss,
 )
 from repro.serving.distributed import degraded_fanout_quality
 
@@ -600,55 +593,6 @@ class TestRecoveryTimeline:
         assert redundancy.value == timeline.time_to_full_redundancy_s
         names = {span.name for span in tracer.spans}
         assert "serving.domains.transfer" in names
-
-
-# -------------------------------------------------- cluster domain variants
-
-
-BROADWELL_POOL = MachinePool(BROADWELL, 4)
-SKYLAKE_POOL = MachinePool(SKYLAKE, 4)
-DEMANDS = [
-    WorkloadDemand(RMC1_SMALL, batch_size=4, sla=SLA(0.010), weight=1.0)
-]
-#: One rack per pool: rack 0 is the Broadwell pool, rack 1 the Skylake one.
-RACK_ALIGNED = FleetTopology(
-    num_replicas=8, replicas_per_host=1, hosts_per_rack=4, racks_per_zone=1
-)
-
-
-class TestClusterDomainVariants:
-    def test_domain_failures_follow_topology(self):
-        pools = [BROADWELL_POOL, SKYLAKE_POOL]
-        assert domain_failures(pools, RACK_ALIGNED, DOMAIN_RACK, 0) == [4, 0]
-        assert domain_failures(pools, RACK_ALIGNED, DOMAIN_RACK, 1) == [0, 4]
-        assert domain_failures(pools, RACK_ALIGNED, DOMAIN_HOST, 5) == [0, 1]
-
-    def test_rack_aligned_topology_reduces_to_pool_loss(self):
-        """One rack per pool ⇒ the domain path equals the pool path."""
-        pools = [BROADWELL_POOL, SKYLAKE_POOL]
-        for domain_id, failures in ((0, [4, 0]), (1, [0, 4])):
-            via_domain = domain_survivable_capacity(
-                pools, DEMANDS, RACK_ALIGNED, DOMAIN_RACK, domain_id
-            )
-            via_pool = survivable_capacity(pools, DEMANDS, failures)
-            assert via_domain.served_scale == via_pool.served_scale
-            assert via_domain.assignment == via_pool.assignment
-
-    def test_worst_domain_loss_orders_by_blast_radius(self):
-        pools = [BROADWELL_POOL, SKYLAKE_POOL]
-        host_loss = worst_single_domain_loss(
-            pools, DEMANDS, RACK_ALIGNED, DOMAIN_HOST
-        )
-        rack_loss = worst_single_domain_loss(
-            pools, DEMANDS, RACK_ALIGNED, DOMAIN_RACK
-        )
-        assert 0.0 < rack_loss <= host_loss
-
-    def test_pool_topology_size_mismatch_is_rejected(self):
-        with pytest.raises(ValueError, match="pools"):
-            domain_failures(
-                [BROADWELL_POOL], RACK_ALIGNED, DOMAIN_RACK, 0
-            )
 
 
 # --------------------------------------------------------- figure 11z run

@@ -1,157 +1,10 @@
-"""Tests for embedding caches, DRAM/NVM tiering and near-memory processing."""
+"""Tests for near-memory processing."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.config import RMC1_SMALL, RMC2_SMALL, RMC3_SMALL
 from repro.hw import BROADWELL
-from repro.memory import (
-    DRAM_ROW_NS,
-    LfuRowCache,
-    LruRowCache,
-    NmpConfig,
-    NVM_ROW_NS,
-    StaticHotRowCache,
-    nmp_speedup,
-    plan_tiering,
-    popularity_hit_ratio,
-    sweep_cache_sizes,
-    sweep_dram_fractions,
-)
-
-
-def zipf_trace(n=5000, rows=100_000, alpha=1.2, seed=0):
-    rng = np.random.default_rng(seed)
-    ranks = np.arange(1, rows + 1, dtype=np.float64)
-    weights = ranks**-alpha
-    cdf = np.cumsum(weights / weights.sum())
-    return np.searchsorted(cdf, rng.random(n)).astype(np.int64)
-
-
-class TestLruRowCache:
-    def test_repeat_hits(self):
-        cache = LruRowCache(4)
-        assert not cache.access(1)
-        assert cache.access(1)
-
-    def test_capacity_enforced(self):
-        cache = LruRowCache(2)
-        cache.access(1)
-        cache.access(2)
-        cache.access(3)  # evicts 1
-        assert not cache.access(1)
-
-    def test_lru_order(self):
-        cache = LruRowCache(2)
-        cache.access(1)
-        cache.access(2)
-        cache.access(1)  # 2 is now LRU
-        cache.access(3)  # evicts 2
-        assert cache.access(1)
-        assert not cache.access(2)
-
-    def test_replay_statistics(self):
-        cache = LruRowCache(100)
-        result = cache.replay(np.array([1, 2, 1, 2, 3]))
-        assert result.lookups == 5
-        assert result.hits == 2
-        assert result.hit_ratio == pytest.approx(0.4)
-
-    def test_rejects_zero_capacity(self):
-        with pytest.raises(ValueError):
-            LruRowCache(0)
-
-    def test_rejects_empty_trace(self):
-        with pytest.raises(ValueError):
-            LruRowCache(4).replay(np.array([], dtype=np.int64))
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        trace=st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=60),
-        capacity=st.integers(min_value=1, max_value=12),
-    )
-    def test_property_hits_bounded_by_repeats(self, trace, capacity):
-        result = LruRowCache(capacity).replay(np.array(trace))
-        repeats = len(trace) - len(set(trace))
-        assert 0 <= result.hits <= repeats
-
-    @settings(max_examples=20, deadline=None)
-    @given(trace=st.lists(st.integers(min_value=0, max_value=5), min_size=2, max_size=40))
-    def test_property_infinite_cache_hits_all_repeats(self, trace):
-        result = LruRowCache(10_000).replay(np.array(trace))
-        assert result.hits == len(trace) - len(set(trace))
-
-
-class TestPolicies:
-    def test_lfu_keeps_frequent_rows(self):
-        cache = LfuRowCache(2)
-        for _ in range(5):
-            cache.access(1)
-        cache.access(2)
-        cache.access(3)  # should evict 2 (freq 1), not 1 (freq 5)
-        assert cache.access(1)
-
-    def test_static_hot_never_learns(self):
-        cache = StaticHotRowCache([1, 2, 3])
-        assert cache.access(1)
-        assert not cache.access(7)
-        assert not cache.access(7)  # still a miss
-
-    def test_static_from_profile_picks_top(self):
-        profile = np.array([5, 5, 5, 9, 9, 2])
-        cache = StaticHotRowCache.from_profile(profile, capacity_rows=2)
-        assert cache.access(5)
-        assert cache.access(9)
-        assert not cache.access(2)
-
-    def test_bigger_cache_never_worse_lru(self):
-        trace = zipf_trace()
-        results = sweep_cache_sizes(LruRowCache, trace, [100, 1000, 10_000])
-        ratios = [r.hit_ratio for r in results]
-        assert ratios == sorted(ratios)
-
-    def test_lfu_beats_lru_on_zipf(self):
-        trace = zipf_trace(alpha=1.4)
-        lru = LruRowCache(200).replay(trace)
-        lfu = LfuRowCache(200).replay(trace)
-        assert lfu.hit_ratio >= 0.9 * lru.hit_ratio  # competitive or better
-
-
-class TestTiering:
-    def test_uniform_trace_hit_tracks_fraction(self):
-        # Long trace relative to the table so frequency estimates converge.
-        rng = np.random.default_rng(0)
-        trace = rng.integers(0, 1_000, size=100_000)
-        hit = popularity_hit_ratio(trace, dram_fraction=0.5, table_rows=1_000)
-        assert hit == pytest.approx(0.5, abs=0.1)
-
-    def test_skewed_trace_beats_fraction(self):
-        trace = zipf_trace(alpha=1.4, rows=10_000)
-        hit = popularity_hit_ratio(trace, dram_fraction=0.1, table_rows=10_000)
-        assert hit > 0.5  # 10% of rows capture most lookups
-
-    def test_zero_budget_zero_hits(self):
-        assert popularity_hit_ratio(np.array([1, 2]), 0.0, 1000) == 0.0
-
-    def test_placement_arithmetic(self):
-        trace = zipf_trace(rows=10_000)
-        placement = plan_tiering(RMC2_SMALL, trace, 10_000, dram_fraction=0.25)
-        assert placement.dram_bytes + placement.nvm_bytes == placement.total_bytes
-        assert placement.dram_savings_fraction == pytest.approx(0.75)
-        assert DRAM_ROW_NS <= placement.expected_lookup_ns <= NVM_ROW_NS
-
-    def test_more_dram_less_latency(self):
-        trace = zipf_trace(rows=10_000)
-        placements = sweep_dram_fractions(
-            RMC2_SMALL, trace, 10_000, [0.05, 0.25, 0.75]
-        )
-        latencies = [p.expected_lookup_ns for p in placements]
-        assert latencies == sorted(latencies, reverse=True)
-
-    def test_rejects_bad_fraction(self):
-        with pytest.raises(ValueError):
-            popularity_hit_ratio(np.array([1]), 1.5, 100)
+from repro.memory import NmpConfig, nmp_speedup
 
 
 class TestNearMemory:

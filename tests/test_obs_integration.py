@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.config import presets
@@ -26,7 +25,6 @@ from repro.obs import (
     to_chrome,
     validate_chrome,
 )
-from repro.serving.batch_serving import BatchedServer
 from repro.serving.distributed import (
     NetworkConfig,
     distributed_latency,
@@ -143,26 +141,6 @@ class TestDistributedTracing:
         assert fanout.end_s == pytest.approx(traced.total_seconds)
         shards = [s for s in tracer.spans if s.name == "serving.shard.sls"]
         assert len(shards) == plan.num_shards
-
-
-class TestBatchTracing:
-    def test_batches_become_spans(self):
-        tracer = Tracer()
-        server = BatchedServer(
-            BROADWELL, presets.RMC1_SMALL, max_batch=8, tracer=tracer
-        )
-        traced = server.simulate(offered_qps=500, duration_s=0.05, seed=5)
-        plain = BatchedServer(
-            BROADWELL, presets.RMC1_SMALL, max_batch=8
-        ).simulate(offered_qps=500, duration_s=0.05, seed=5)
-        assert np.array_equal(traced.query_latencies_s, plain.query_latencies_s)
-        assert traced.items_served == plain.items_served
-        assert traced.mean_batch_size == plain.mean_batch_size
-        assert validate_chrome(to_chrome(tracer)) == []
-        requests = [
-            s for s in tracer.spans if s.name == "serving.batch.request"
-        ]
-        assert sum(s.args["num_items"] for s in requests) == traced.items_served
 
 
 class TestCli:

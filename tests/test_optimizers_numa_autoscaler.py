@@ -1,13 +1,12 @@
-"""Tests for optimizers, NUMA placement, and the autoscaler."""
+"""Tests for optimizers and the autoscaler."""
 
 import numpy as np
 import pytest
 
-from repro.config import MLPConfig, ModelConfig, RMC2_SMALL, RMC3_SMALL, uniform_tables
+from repro.config import MLPConfig, ModelConfig, RMC2_SMALL, uniform_tables
 from repro.core import RecommendationModel
 from repro.data import SyntheticCtrDataset
 from repro.hw import BROADWELL
-from repro.hw.numa import PLACEMENTS, numa_latency, placement_comparison
 from repro.serving.autoscaler import Autoscaler, DiurnalLoad, static_provisioning
 from repro.train import Adagrad, MomentumSGD, SGD, TrainableDLRM, Trainer
 
@@ -80,33 +79,6 @@ class TestOptimizers:
             MomentumSGD(0.1, momentum=1.0)
         with pytest.raises(ValueError):
             Adagrad(0.1, eps=0.0)
-
-
-class TestNuma:
-    def test_local_fastest_remote_slowest(self):
-        results = placement_comparison(BROADWELL, RMC2_SMALL, 32)
-        assert (
-            results["local"].total_seconds
-            < results["interleave"].total_seconds
-            < results["remote"].total_seconds
-        )
-
-    def test_compute_bound_model_insensitive(self):
-        results = placement_comparison(BROADWELL, RMC3_SMALL, 32)
-        spread = results["remote"].total_seconds / results["local"].total_seconds
-        assert spread < 1.15  # RMC3 barely touches DRAM for embeddings
-
-    def test_memory_bound_model_sensitive(self):
-        results = placement_comparison(BROADWELL, RMC2_SMALL, 32)
-        spread = results["remote"].total_seconds / results["local"].total_seconds
-        assert spread > 1.3
-
-    def test_all_placements_enumerated(self):
-        assert set(PLACEMENTS) == {"local", "remote", "interleave"}
-
-    def test_rejects_unknown_placement(self):
-        with pytest.raises(ValueError):
-            numa_latency(BROADWELL, RMC2_SMALL, 32, placement="far")
 
 
 class TestAutoscaler:

@@ -1,23 +1,15 @@
-"""Tests for the scheduler, the filtering/ranking pipeline, and the fleet."""
+"""Tests for the scheduler and the fleet."""
 
 import pytest
 
-from repro.config import (
-    RMC1_SMALL,
-    RMC2_SMALL,
-    RMC3_SMALL,
-    scaled_for_execution,
-)
-from repro.core import RecommendationModel
+from repro.config import RMC2_SMALL, RMC3_SMALL
 from repro.hw import ALL_SERVERS, BROADWELL, SKYLAKE
 from repro.serving import (
-    FilterRankPipeline,
     Fleet,
     FleetService,
     SLA,
     best_placement,
     colocation_sweep,
-    estimate_pipeline_latency,
     production_fleet,
     route_to_best_server,
 )
@@ -47,67 +39,6 @@ class TestScheduler:
         """With a tight SLA at small batch, high-frequency Broadwell wins."""
         decision = route_to_best_server(list(ALL_SERVERS), RMC3_SMALL, 4, SLA(0.0011))
         assert decision.server_name == "Broadwell"
-
-
-class TestPipelineEstimate:
-    def test_filter_stage_scales_with_candidates(self):
-        small = estimate_pipeline_latency(BROADWELL, RMC1_SMALL, RMC3_SMALL, 512)
-        large = estimate_pipeline_latency(BROADWELL, RMC1_SMALL, RMC3_SMALL, 4096)
-        assert large.filter_seconds > 4 * small.filter_seconds
-        assert large.rank_seconds == pytest.approx(small.rank_seconds)
-
-    def test_heavy_ranker_dominates_at_small_candidate_counts(self):
-        est = estimate_pipeline_latency(
-            BROADWELL, RMC1_SMALL, RMC3_SMALL, candidate_count=128, filter_keep=64
-        )
-        assert est.rank_seconds > est.filter_seconds
-
-    def test_rejects_fewer_candidates_than_keep(self):
-        with pytest.raises(ValueError):
-            estimate_pipeline_latency(BROADWELL, RMC1_SMALL, RMC3_SMALL, 32, 64)
-
-
-class TestPipelineExecution:
-    @pytest.fixture(scope="class")
-    def pipeline(self):
-        filter_model = RecommendationModel(
-            scaled_for_execution(RMC1_SMALL, max_rows=2000)
-        )
-        rank_model = RecommendationModel(
-            scaled_for_execution(RMC3_SMALL, max_rows=2000)
-        )
-        return FilterRankPipeline(
-            filter_model, rank_model, filter_keep=16, final_keep=5, batch_size=32
-        )
-
-    def test_returns_requested_count(self, pipeline):
-        result = pipeline.recommend(candidate_count=64)
-        assert result.returned_count == 5
-        assert len(result.selected_indices) == 5
-        assert result.candidate_count == 64
-
-    def test_scores_sorted_descending(self, pipeline):
-        result = pipeline.recommend(candidate_count=64)
-        assert list(result.scores) == sorted(result.scores, reverse=True)
-
-    def test_selected_indices_within_candidates(self, pipeline):
-        result = pipeline.recommend(candidate_count=64)
-        assert all(0 <= i < 64 for i in result.selected_indices)
-
-    def test_timing_components_positive(self, pipeline):
-        result = pipeline.recommend(candidate_count=64)
-        assert result.filter_seconds > 0
-        assert result.rank_seconds > 0
-        assert result.total_seconds == pytest.approx(
-            result.filter_seconds + result.rank_seconds
-        )
-
-    def test_rejects_invalid_keep(self, pipeline):
-        with pytest.raises(ValueError):
-            FilterRankPipeline(
-                pipeline.filter_model, pipeline.rank_model,
-                filter_keep=4, final_keep=8,
-            )
 
 
 class TestFleet:

@@ -1,15 +1,14 @@
-"""Tests for config serialization, the energy model, and weighted SLS."""
+"""Tests for config serialization and weighted SLS."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     ConfigError,
     PRODUCTION_PRESETS,
     RMC1_DOT,
     RMC1_SMALL,
-    RMC2_SMALL,
-    RMC3_SMALL,
     config_from_dict,
     config_to_dict,
     load_config,
@@ -21,7 +20,6 @@ from repro.core.operators import (
     SparseLengthsSum,
     SparseLengthsWeightedSum,
 )
-from repro.hw import BROADWELL, SKYLAKE, efficiency_comparison, inference_energy
 
 
 class TestSerialization:
@@ -60,38 +58,16 @@ class TestSerialization:
             config_from_dict(data)
 
 
-class TestEnergyModel:
-    def test_components_positive(self):
-        estimate = inference_energy(BROADWELL, RMC2_SMALL, 16)
-        assert estimate.core_joules > 0
-        assert estimate.dram_joules > 0
-        assert estimate.total_joules == pytest.approx(
-            estimate.core_joules + estimate.dram_joules
-        )
-
-    def test_efficiency_improves_with_batch(self):
-        low = inference_energy(BROADWELL, RMC3_SMALL, 1)
-        high = inference_energy(BROADWELL, RMC3_SMALL, 128)
-        assert high.items_per_joule > low.items_per_joule
-
-    def test_broadwell_most_efficient_at_batch16(self):
-        """Lowest latency at moderate batch -> least energy burned."""
-        estimates = efficiency_comparison(RMC2_SMALL, 16)
-        best = max(estimates.values(), key=lambda e: e.items_per_joule)
-        assert best.server_name == "Broadwell"
-
-    def test_dram_energy_tracks_embedding_traffic(self):
-        rmc2 = inference_energy(BROADWELL, RMC2_SMALL, 16)
-        rmc1 = inference_energy(BROADWELL, RMC1_SMALL, 16)
-        # RMC1's LLC-resident tables move almost nothing over the bus.
-        assert rmc2.dram_joules > 10 * rmc1.dram_joules
-
-    def test_skylake_efficient_at_large_batch_compute(self):
-        skl = inference_energy(SKYLAKE, RMC3_SMALL, 256)
-        bdw = inference_energy(BROADWELL, RMC3_SMALL, 256)
-        # Skylake finishes faster at large batch; energy is competitive
-        # despite higher active power.
-        assert skl.latency_s < bdw.latency_s
+class TestSerializationProperty:
+    @settings(max_examples=20, deadline=None)
+    @given(name=st.sampled_from(sorted(PRODUCTION_PRESETS)))
+    def test_round_trip_preserves_all_costs(self, name):
+        config = PRODUCTION_PRESETS[name]
+        rebuilt = config_from_dict(config_to_dict(config))
+        assert rebuilt.flops_per_sample() == config.flops_per_sample()
+        assert rebuilt.bytes_read_per_sample() == config.bytes_read_per_sample()
+        assert rebuilt.total_storage_bytes() == config.total_storage_bytes()
+        assert rebuilt.top_mlp_input_dim == config.top_mlp_input_dim
 
 
 class TestWeightedSls:

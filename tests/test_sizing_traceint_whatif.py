@@ -1,10 +1,10 @@
-"""Tests for cache sizing, trace-driven timing, and the what-if study."""
+"""Tests for trace-driven timing and the what-if study."""
 
 import numpy as np
 import pytest
 
 from repro.config import RMC2_SMALL
-from repro.data import TemporalReuseGenerator, reuse_profile
+from repro.data import TemporalReuseGenerator
 from repro.experiments import whatif_memory
 from repro.hw import (
     BROADWELL,
@@ -12,7 +12,6 @@ from repro.hw import (
     measure_trace_hit_ratio,
     trace_driven_latency,
 )
-from repro.memory import plan_cache_size
 
 
 @pytest.fixture(scope="module")
@@ -24,44 +23,6 @@ def local_trace():
 @pytest.fixture(scope="module")
 def random_trace_ids():
     return np.random.default_rng(5).integers(0, 1_000_000, size=12_000)
-
-
-class TestCacheSizing:
-    def test_latency_improves_with_capacity(self, local_trace):
-        plan = plan_cache_size(
-            BROADWELL, RMC2_SMALL, local_trace, [100, 1_000, 10_000, 100_000]
-        )
-        latencies = [p.latency_s for p in plan.points]
-        assert latencies == sorted(latencies, reverse=True)
-
-    def test_recommendation_sits_at_knee(self, local_trace):
-        plan = plan_cache_size(
-            BROADWELL, RMC2_SMALL, local_trace,
-            [100, 1_000, 10_000, 100_000, 1_000_000],
-        )
-        assert plan.recommended is not None
-        # Beyond the knee the curve is flat: the last point buys (almost)
-        # nothing over the recommendation.
-        last = plan.points[-1]
-        assert last.latency_reduction - plan.recommended.latency_reduction < 0.05
-
-    def test_random_trace_gets_no_recommendation(self, random_trace_ids):
-        plan = plan_cache_size(
-            BROADWELL, RMC2_SMALL, random_trace_ids, [100, 1_000, 10_000]
-        )
-        # Compulsory-dominated trace: nothing to cache.
-        assert plan.recommended is None or plan.recommended.latency_reduction < 0.1
-
-    def test_rejects_unsorted_capacities(self, local_trace):
-        with pytest.raises(ValueError):
-            plan_cache_size(BROADWELL, RMC2_SMALL, local_trace, [1000, 100])
-
-    def test_profile_can_be_precomputed(self, local_trace):
-        profile = reuse_profile(local_trace)
-        plan = plan_cache_size(
-            BROADWELL, RMC2_SMALL, local_trace, [1_000], profile=profile
-        )
-        assert plan.points[0].hit_ratio == pytest.approx(profile.hit_ratio(1_000))
 
 
 class TestTraceIntegration:

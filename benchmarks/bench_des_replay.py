@@ -11,10 +11,6 @@ the DES engine's trajectory.
 Run directly (CI uploads the JSON as an artifact)::
 
     PYTHONPATH=src python benchmarks/bench_des_replay.py
-
-or through pytest (excluded from tier-1, which only collects ``tests/``)::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_des_replay.py -m perf -s
 """
 
 from __future__ import annotations
@@ -26,7 +22,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.config.presets import RMC1
@@ -239,19 +234,6 @@ def render(report: dict) -> str:
             f"({full_day['offered_per_s']:,.0f} requests/s)"
         )
     return "\n".join(parts)
-
-
-@pytest.mark.perf
-def test_des_replay_perf():
-    """Small-size bench; asserts the vectorized engine wins."""
-    from conftest import emit
-
-    report = run_bench(offered_targets=(100_000,), fleet=False)
-    emit("DES replay: reference vs vectorized vs native", render(report))
-    best = report["simulator"][0]["native_speedup"] or (
-        report["simulator"][0]["python_speedup"]
-    )
-    assert best > 1.0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,10 +17,6 @@ is nothing to time but the reference.
 Run directly (CI uploads the JSON as an artifact)::
 
     PYTHONPATH=src python benchmarks/bench_nmp_replay.py
-
-or through pytest (excluded from tier-1, which only collects ``tests/``)::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_nmp_replay.py -m perf -s
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from repro.analysis import format_table
 from repro.data.sparse import TemporalReuseGenerator
@@ -154,17 +149,6 @@ def render(report: dict) -> str:
         rows,
         title="NMP replay engine wallclock (bit-identical observables)",
     )
-
-
-@pytest.mark.perf
-def test_nmp_replay_perf():
-    """Replay bench at the small size; asserts the native kernel wins."""
-    from conftest import emit
-
-    report = run_bench(lookups_list=(100_000,))
-    emit("NMP replay: reference vs vectorized", render(report))
-    if report["config"]["native_available"]:
-        assert report["results"][0]["native_speedup"] > 1.0
 
 
 def main(argv: list[str] | None = None) -> int:

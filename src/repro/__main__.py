@@ -41,6 +41,7 @@ _ORDERED = [
     "micro",
     "configspace",
     "whatif",
+    "fcaccel",
     "figure11",
     "figure11x",
     "figure11y",
@@ -69,8 +70,8 @@ def _run_one(exp_id: str, json_path: str | None = None) -> None:
         kwargs["metrics"] = registry
     # Deliberately no wall-clock timing here (SC904): every latency this
     # CLI prints is *simulated*; real execution time is the business of
-    # benchmarks/bench_execution_wallclock.py, and a cosmetic elapsed
-    # display was the one host-dependent output in an otherwise
+    # benchmarks/ (simbench and the replay benches), and a cosmetic
+    # elapsed display was the one host-dependent output in an otherwise
     # deterministic pipeline.
     result = module.run(**kwargs)
     print(f"\n### {exp_id}\n")

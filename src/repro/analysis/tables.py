@@ -1,8 +1,8 @@
 """Plain-text rendering of experiment results: tables and bar charts.
 
-Every benchmark regenerates its paper table/figure as text, so results are
-inspectable straight from ``pytest benchmarks/ --benchmark-only`` output or
-the example scripts without any plotting dependency.
+Every experiment renders its paper table/figure as text, so results are
+inspectable straight from ``python -m repro <id>`` output or the example
+scripts without any plotting dependency.
 """
 
 from __future__ import annotations

@@ -9,12 +9,6 @@ from .model_config import (
     uniform_tables,
 )
 from .normalization import NormalizedModelParams, normalize_table1
-from .serialization import (
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
 from .presets import (
     EMBEDDING_DIM,
     NCF,
@@ -42,10 +36,6 @@ __all__ = [
     "uniform_tables",
     "NormalizedModelParams",
     "normalize_table1",
-    "config_from_dict",
-    "config_to_dict",
-    "load_config",
-    "save_config",
     "EMBEDDING_DIM",
     "NCF",
     "PRODUCTION_PRESETS",

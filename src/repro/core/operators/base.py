@@ -4,8 +4,7 @@ Each operator knows how to (1) execute on numpy arrays, (2) report its
 analytical cost — FLOPs and bytes moved — for a given batch size, and
 (3) emit a memory *address trace* for the server cache simulator
 (:mod:`repro.hw`). Costs and traces are what the paper's characterization
-is built on; execution is used by the tests, examples and wall-clock
-benchmarks.
+is built on; execution is used by the tests, the examples and training.
 """
 
 from __future__ import annotations

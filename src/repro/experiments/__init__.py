@@ -24,6 +24,7 @@ from . import (
     fig11z_domains,
     fig12_ncf_comparison,
     fig14_trace_locality,
+    figfc_accelerator,
     figmm_multimodel,
     fignmp_near_memory,
     fleet_day,
@@ -58,6 +59,7 @@ REGISTRY = {
     "micro": micro_takeaways,
     "configspace": config_space,
     "whatif": whatif_memory,
+    "fcaccel": figfc_accelerator,
 }
 
 __all__ = ["REGISTRY"] + [

@@ -1,20 +1,17 @@
 """Load generation for serving simulations.
 
-Three modes:
+Three open-loop Poisson modes, each a seeded list of :class:`Query`:
 
-* :class:`PoissonLoadGenerator` — open-loop arrivals at a target rate, the
-  regime data-center front-ends see; exposes queueing delay.
-* :class:`ClosedLoopLoadGenerator` — a fixed number of outstanding clients,
-  each issuing a new query when the previous one completes; the regime the
-  paper's co-location experiments run in (N models, each always busy).
-* :class:`SpikeLoadGenerator` — open-loop Poisson with interval rate
-  multipliers: the failover / retry-storm / flash-crowd traffic shapes the
+* :class:`SpikeLoadGenerator` — Poisson with interval rate multipliers:
+  the failover / retry-storm / flash-crowd traffic shapes the
   fault-injection layer (:mod:`repro.serving.faults`) stresses degraded
   fleets with.
-* :class:`DiurnalLoadGenerator` — open-loop Poisson with a sinusoidal
-  day/night baseline (the paper's fleets provision for the diurnal peak);
-  accepts the same spikes as :class:`SpikeLoadGenerator`, so a flash
-  crowd riding the evening peak is one seeded trace.
+* :class:`DiurnalLoadGenerator` — Poisson with a sinusoidal day/night
+  baseline (the paper's fleets provision for the diurnal peak); accepts
+  the same spikes as :class:`SpikeLoadGenerator`, so a flash crowd riding
+  the evening peak is one seeded trace.
+* :class:`MixedModelLoadGenerator` — one diurnal Poisson stream per model
+  class, merged into tagged :class:`MixedQuery` arrivals.
 """
 
 from __future__ import annotations
@@ -43,40 +40,6 @@ class Query:
             raise ValueError("arrival time must be non-negative")
         if self.num_items < 1:
             raise ValueError("a query must carry at least one item")
-
-
-class PoissonLoadGenerator:
-    """Open-loop Poisson arrivals.
-
-    Args:
-        rate_qps: mean arrival rate (queries per second).
-        num_items: items per query.
-        seed: RNG seed.
-    """
-
-    def __init__(self, rate_qps: float, num_items: int = 1, seed: int = 0) -> None:
-        if rate_qps <= 0:
-            raise ValueError("rate must be positive")
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
-        self.rate_qps = rate_qps
-        self.num_items = num_items
-        self._rng = np.random.default_rng(seed)
-
-    def generate(self, duration_s: float) -> list[Query]:
-        """All queries arriving within ``duration_s``."""
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
-        queries: list[Query] = []
-        t = 0.0
-        qid = 0
-        while True:
-            t += float(self._rng.exponential(1.0 / self.rate_qps))
-            if t >= duration_s:
-                break
-            queries.append(Query(query_id=qid, arrival_s=t, num_items=self.num_items))
-            qid += 1
-        return queries
 
 
 @dataclass(frozen=True)
@@ -265,34 +228,6 @@ class DiurnalLoadGenerator:
         return _thinned_arrivals(
             self._rng, self.rate_at, self.max_rate_qps(), duration_s, self.num_items
         )
-
-
-class ClosedLoopLoadGenerator:
-    """Closed-loop clients: a new query is issued on completion.
-
-    This generator only fixes the initial arrivals (all clients issue at
-    t=0 with a small jitter); the simulator re-issues on completion.
-    """
-
-    def __init__(self, num_clients: int, num_items: int = 1, seed: int = 0) -> None:
-        if num_clients < 1:
-            raise ValueError("need at least one client")
-        if num_items < 1:
-            raise ValueError("num_items must be positive")
-        self.num_clients = num_clients
-        self.num_items = num_items
-        self._rng = np.random.default_rng(seed)
-
-    def initial_queries(self) -> list[Query]:
-        """One staggered initial query per client."""
-        return [
-            Query(
-                query_id=i,
-                arrival_s=float(self._rng.uniform(0.0, 1e-4)),
-                num_items=self.num_items,
-            )
-            for i in range(self.num_clients)
-        ]
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """SC601 experiment-registry: figure/table modules expose the common API.
 
 Every ``experiments/fig*.py`` / ``experiments/table*.py`` module is driven
-by the benchmark harness and the CLI through one convention:
+by the CLI (``python -m repro <id>``) and the tests through one convention:
 
 * a top-level ``run(...)`` whose parameters ALL have defaults, so
   ``module.run()`` regenerates the figure with the paper's configuration;

@@ -2,8 +2,8 @@
 
 Runs the reproduction's headline claims against the paper's published
 numbers and produces a structured report — the machine-checkable version
-of EXPERIMENTS.md. Used by ``benchmarks/bench_validation_report.py`` and
-available to users as::
+of EXPERIMENTS.md. Run by ``python -m repro validate``, asserted by
+``tests/test_validation_cli.py``, and available to users as::
 
     from repro.validation import validate, render_report
     print(render_report(validate()))

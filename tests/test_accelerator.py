@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import RMC1_SMALL, RMC2_SMALL, RMC3_SMALL
+from repro.experiments import figfc_accelerator
 from repro.hw import (
     AcceleratorConfig,
     BROADWELL,
@@ -52,3 +53,18 @@ class TestAccelerateFc:
             AcceleratorConfig(fc_speedup=0.9)
         with pytest.raises(ValueError):
             AcceleratorConfig(offload_overhead_s=-1)
+
+
+class TestFcAccelExperiment:
+    @pytest.fixture(scope="class")
+    def result(self):
+        return figfc_accelerator.run()
+
+    def test_takeaway2_bounds_at_100x(self, result):
+        """Even a 100x FC engine barely moves RMC2; RMC3 gains over 5x."""
+        assert result.speedup("RMC2-small", 100.0) < 1.3
+        assert result.speedup("RMC3-small", 100.0) > 5.0
+
+    def test_render(self, result):
+        text = figfc_accelerator.render(result)
+        assert "100x FC" in text and "Amdahl limit" in text

@@ -102,6 +102,7 @@ class TestDistributedLatency:
         """Beyond enough shards, network + dense compute dominate."""
         results = sharding_sweep(BROADWELL, RMC2_SMALL, 32, [1, 2, 4, 10, 20])
         total = [r.total_seconds for r in results]
+        assert total[1] < total[0]
         gain_first = total[0] / total[1]
         gain_last = total[-2] / total[-1]
         assert gain_first > gain_last

@@ -27,6 +27,7 @@ class TestRegistry:
             "figure11z", "figure12", "figure14", "fignmp", "fleet",
             "multimodel",
             "table1", "table2", "table3", "micro", "configspace", "whatif",
+            "fcaccel",
         }
         assert set(REGISTRY) == expected
 
@@ -66,6 +67,10 @@ class TestFigure2:
     def test_rmc2_reads_most_bytes_of_rmcs_at_batch1_storage(self):
         points = fig02_flops_bytes.run().by_name()
         assert points["RMC2-small"].storage_bytes > points["RMC3-small"].storage_bytes
+        assert (
+            points["RMC2-small"].storage_bytes
+            > 100 * points["MLPerf-NCF"].storage_bytes
+        )
 
 
 class TestFigure4:
@@ -87,6 +92,9 @@ class TestFigure7:
             < result.latency_ms("RMC2-small")
             < result.latency_ms("RMC3-small")
         )
+        assert 0.02 < result.latency_ms("RMC1-small") < 0.06
+        assert 0.18 < result.latency_ms("RMC2-small") < 0.42
+        assert 0.40 < result.latency_ms("RMC3-small") < 0.85
 
     def test_large_rmc1_slower(self):
         result = fig07_single_model.run()

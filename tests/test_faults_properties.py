@@ -273,3 +273,5 @@ class TestPoliciesImproveTails:
         assert hedged.stats.goodput_qps > none.stats.goodput_qps
         assert hedged.stats.hedges > 0
         assert result.p999_reduction() > 1.5
+        assert result.goodput_gain() >= 1.0
+        assert hedged.stats.goodput_qps <= hedged.stats.throughput_qps + 1e-9

@@ -15,6 +15,7 @@ from repro.experiments import (
     fig11y_overload,
     fig11z_domains,
     fig14_trace_locality,
+    figfc_accelerator,
     figmm_multimodel,
     fignmp_near_memory,
     fleet_day,
@@ -380,3 +381,22 @@ def test_fignmp_golden_engine_invariant(golden):
         table_rows=100_000, trace_length=10_000, engine="reference"
     )
     golden("fignmp", _fignmp_payload(result))
+
+
+def test_fcaccel_golden(golden):
+    result = figfc_accelerator.run()
+    payload = {
+        "server": result.server_name,
+        "batch_size": result.batch_size,
+        "fc_speedups": list(result.fc_speedups),
+        "models": {
+            name: {
+                "baseline_s": sweep[0].baseline_seconds,
+                "fc_share": sweep[0].fc_share,
+                "amdahl_limit": sweep[0].amdahl_limit,
+                "end_to_end_speedups": [r.end_to_end_speedup for r in sweep],
+            }
+            for name, sweep in result.sweeps.items()
+        },
+    }
+    golden("fcaccel", payload)

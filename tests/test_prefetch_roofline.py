@@ -40,19 +40,34 @@ class TestPrefetcher:
         assert prefetched >= 0.95 * baseline  # no demand-miss reduction
         assert accuracy < 0.05  # nearly all prefetches are pollution
 
+    def test_fc_weight_stream_misses_collapse(self):
+        """FC's sequential weight stream is what prefetching is for."""
+        fc = FullyConnected("fc", 2048, 1000)
+
+        def stats(degree):
+            h = CacheHierarchy(BROADWELL, prefetch_degree=degree)
+            h.access_trace(fc.address_trace(32))
+            return h.stats
+
+        prefetched = stats(4)
+        assert prefetched.dram_accesses < 0.3 * stats(0).dram_accesses
+        assert prefetched.prefetch_accuracy > 0.9
+
     def test_sls_rows_get_second_line_from_prefetch(self):
         """A 128 B embedding row spans two lines; next-line prefetch covers
-        the second — the only prefetcher win SLS sees."""
+        the second — the only prefetcher win SLS sees. Deeper prefetch
+        past the row end is mostly pollution."""
         table = EmbeddingTable(100_000, 32)
         sls = SparseLengthsSum("s", table, 80)
         rows = np.random.default_rng(1).integers(0, table.rows, size=3000)
 
-        def misses(degree):
+        def stats(degree):
             h = CacheHierarchy(BROADWELL, prefetch_degree=degree)
             h.access_trace(sls.trace_for_rows(rows))
-            return h.stats.dram_accesses
+            return h.stats
 
-        assert misses(1) < 0.7 * misses(0)
+        assert stats(1).dram_accesses < 0.7 * stats(0).dram_accesses
+        assert stats(4).prefetch_accuracy < 0.5
 
     def test_zero_degree_issues_nothing(self):
         h = CacheHierarchy(BROADWELL, prefetch_degree=0)

@@ -1,73 +1,14 @@
-"""Tests for config serialization and weighted SLS."""
+"""Tests for weighted SLS."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.config import (
-    ConfigError,
-    PRODUCTION_PRESETS,
-    RMC1_DOT,
-    RMC1_SMALL,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
 from repro.core.operators import (
     EmbeddingTable,
     SparseBatch,
     SparseLengthsSum,
     SparseLengthsWeightedSum,
 )
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("name", sorted(PRODUCTION_PRESETS))
-    def test_round_trip_every_preset(self, name):
-        config = PRODUCTION_PRESETS[name]
-        rebuilt = config_from_dict(config_to_dict(config))
-        assert rebuilt.describe() == config.describe()
-        assert rebuilt.interaction == config.interaction
-        assert rebuilt.dtype == config.dtype
-
-    def test_file_round_trip(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_config(RMC1_DOT, path)
-        rebuilt = load_config(path)
-        assert rebuilt.name == RMC1_DOT.name
-        assert rebuilt.interaction == "dot"
-        assert rebuilt.flops_per_sample() == RMC1_DOT.flops_per_sample()
-
-    def test_rejects_wrong_schema_version(self):
-        data = config_to_dict(RMC1_SMALL)
-        data["schema_version"] = 99
-        with pytest.raises(ConfigError):
-            config_from_dict(data)
-
-    def test_rejects_missing_fields(self):
-        data = config_to_dict(RMC1_SMALL)
-        del data["bottom_mlp"]
-        with pytest.raises(ConfigError):
-            config_from_dict(data)
-
-    def test_invalid_payload_fails_validation(self):
-        data = config_to_dict(RMC1_SMALL)
-        data["embedding_tables"] = []
-        with pytest.raises(ConfigError):
-            config_from_dict(data)
-
-
-class TestSerializationProperty:
-    @settings(max_examples=20, deadline=None)
-    @given(name=st.sampled_from(sorted(PRODUCTION_PRESETS)))
-    def test_round_trip_preserves_all_costs(self, name):
-        config = PRODUCTION_PRESETS[name]
-        rebuilt = config_from_dict(config_to_dict(config))
-        assert rebuilt.flops_per_sample() == config.flops_per_sample()
-        assert rebuilt.bytes_read_per_sample() == config.bytes_read_per_sample()
-        assert rebuilt.total_storage_bytes() == config.total_storage_bytes()
-        assert rebuilt.top_mlp_input_dim == config.top_mlp_input_dim
 
 
 class TestWeightedSls:

@@ -1,16 +1,11 @@
-"""Tests for SLA metrics, load generation and batching."""
+"""Tests for SLA metrics and queries."""
 
-import numpy as np
 import pytest
 
 from repro.serving import (
-    Batcher,
-    ClosedLoopLoadGenerator,
-    PoissonLoadGenerator,
     Query,
     SLA,
     ThroughputPoint,
-    batch_stream,
     latency_bounded_throughput,
 )
 
@@ -50,39 +45,6 @@ class TestLatencyBoundedThroughput:
         assert latency_bounded_throughput(points) is None
 
 
-class TestPoissonLoadGenerator:
-    def test_rate_approximates_target(self):
-        gen = PoissonLoadGenerator(rate_qps=1000, seed=3)
-        queries = gen.generate(duration_s=2.0)
-        assert len(queries) == pytest.approx(2000, rel=0.15)
-
-    def test_arrivals_sorted_and_bounded(self):
-        queries = PoissonLoadGenerator(rate_qps=500, seed=1).generate(1.0)
-        times = [q.arrival_s for q in queries]
-        assert times == sorted(times)
-        assert all(0 <= t < 1.0 for t in times)
-
-    def test_unique_ids(self):
-        queries = PoissonLoadGenerator(rate_qps=200, seed=2).generate(1.0)
-        ids = [q.query_id for q in queries]
-        assert len(set(ids)) == len(ids)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            PoissonLoadGenerator(rate_qps=0)
-
-
-class TestClosedLoop:
-    def test_one_query_per_client(self):
-        gen = ClosedLoopLoadGenerator(num_clients=5)
-        queries = gen.initial_queries()
-        assert len(queries) == 5
-
-    def test_rejects_zero_clients(self):
-        with pytest.raises(ValueError):
-            ClosedLoopLoadGenerator(num_clients=0)
-
-
 class TestQuery:
     def test_rejects_negative_arrival(self):
         with pytest.raises(ValueError):
@@ -91,72 +53,3 @@ class TestQuery:
     def test_rejects_zero_items(self):
         with pytest.raises(ValueError):
             Query(query_id=0, arrival_s=0.0, num_items=0)
-
-
-class TestBatcher:
-    def q(self, qid, t, items=1):
-        return Query(query_id=qid, arrival_s=t, num_items=items)
-
-    def test_dispatch_on_size(self):
-        batcher = Batcher(max_items=2, max_wait_s=10)
-        assert batcher.offer(self.q(0, 0.0)) is None
-        batch = batcher.offer(self.q(1, 0.001))
-        assert batch is not None
-        assert batch.num_items == 2
-
-    def test_dispatch_on_timeout(self):
-        batcher = Batcher(max_items=100, max_wait_s=0.005)
-        batcher.offer(self.q(0, 0.0))
-        assert batcher.poll(0.001) is None
-        batch = batcher.poll(0.006)
-        assert batch is not None
-        assert batch.queries[0].query_id == 0
-
-    def test_flush_drains_pending(self):
-        batcher = Batcher(max_items=100, max_wait_s=10)
-        batcher.offer(self.q(0, 0.0))
-        batch = batcher.flush(1.0)
-        assert batch.num_items == 1
-        assert batcher.flush(2.0) is None
-
-    def test_multi_item_queries_count_items(self):
-        batcher = Batcher(max_items=4, max_wait_s=10)
-        batch = batcher.offer(self.q(0, 0.0, items=4))
-        assert batch is not None
-
-    def test_rejects_bad_params(self):
-        with pytest.raises(ValueError):
-            Batcher(max_items=0)
-
-    def test_batch_stream_covers_all_queries(self):
-        queries = PoissonLoadGenerator(rate_qps=2000, seed=0).generate(0.2)
-        batches = batch_stream(queries, max_items=8, max_wait_s=0.002)
-        total = sum(b.num_items for b in batches)
-        assert total == len(queries)
-        assert all(b.num_items <= 8 for b in batches)
-
-    def test_batch_stream_respects_timeout(self):
-        queries = [self.q(0, 0.0), self.q(1, 1.0)]
-        batches = batch_stream(queries, max_items=10, max_wait_s=0.01)
-        assert len(batches) == 2
-
-    def test_oldest_arrival(self):
-        batcher = Batcher(max_items=2, max_wait_s=10)
-        batcher.offer(self.q(0, 0.5))
-        batch = batcher.offer(self.q(1, 0.7))
-        assert batch.oldest_arrival_s == 0.5
-
-    def test_poll_at_exact_max_wait_dispatches(self):
-        """The timeout bound is inclusive: wait == max_wait_s fires."""
-        batcher = Batcher(max_items=100, max_wait_s=0.005)
-        batcher.offer(self.q(0, 0.0))
-        batch = batcher.poll(0.005)
-        assert batch is not None
-        assert batch.formed_at_s == 0.005
-        assert batcher.poll(0.005) is None  # queue drained by dispatch
-
-    def test_empty_flush_returns_none(self):
-        batcher = Batcher(max_items=4, max_wait_s=0.001)
-        assert batcher.flush(0.0) is None
-        assert batcher.poll(10.0) is None
-        assert batcher.pending_items == 0

@@ -74,7 +74,8 @@ def run_bench(lookups_list: tuple[int, ...] = (100_000, 1_000_000)) -> dict:
         vectorized_s, backend, vectorized_stats = _replay_once(
             "vectorized", lines
         )
-        assert reference_stats == vectorized_stats, "engines diverged"
+        if reference_stats != vectorized_stats:
+            raise AssertionError("engines diverged")
         results.append(
             {
                 "lookups": int(lookups),
@@ -102,10 +103,11 @@ def check_floors(report: dict) -> None:
     """Assert the speedup floor the engine contract promises."""
     largest = max(report["results"], key=lambda r: r["lookups"])
     if largest["backend"] == "native":
-        assert largest["speedup"] >= NATIVE_FLOOR, (
-            f"native speedup {largest['speedup']:.1f}x below "
-            f"{NATIVE_FLOOR:.0f}x floor at {largest['lookups']:,} lookups"
-        )
+        if not largest["speedup"] >= NATIVE_FLOOR:
+            raise AssertionError(
+                f"native speedup {largest['speedup']:.1f}x below "
+                f"{NATIVE_FLOOR:.0f}x floor at {largest['lookups']:,} lookups"
+            )
 
 
 def render(report: dict) -> str:

@@ -84,7 +84,8 @@ def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
         python_s, _, _, python_digest = _sim_once(
             "vectorized", "python", target
         )
-        assert python_digest == reference_digest, "engines diverged"
+        if python_digest != reference_digest:
+            raise AssertionError("engines diverged")
         row = {
             "offered_target": int(target),
             "offered": int(offered),
@@ -99,8 +100,10 @@ def bench_simulator(offered_targets: tuple[int, ...]) -> list[dict]:
             native_s, backend, _, native_digest = _sim_once(
                 "vectorized", "native", target
             )
-            assert backend == "native"
-            assert native_digest == reference_digest, "C backend diverged"
+            if backend != "native":
+                raise AssertionError(f"native backend fell back to {backend!r}")
+            if native_digest != reference_digest:
+                raise AssertionError("C backend diverged")
             row["native_s"] = native_s
             row["native_speedup"] = reference_s / native_s
         rows.append(row)
@@ -117,9 +120,8 @@ def bench_fleet_head_to_head(seed: int = 17) -> dict:
             engine=engine, seed=seed, hours=FLEET_HOURS
         )
         times[engine] = time.perf_counter() - start_s
-    assert results["reference"].windows == results["vectorized"].windows, (
-        "fleet-day engines diverged"
-    )
+    if results["reference"].windows != results["vectorized"].windows:
+        raise AssertionError("fleet-day engines diverged")
     reference = results["reference"]
     return {
         "hours": list(FLEET_HOURS),
@@ -172,19 +174,23 @@ def check_floors(report: dict) -> None:
     """Assert the speedup floors the engine contract promises."""
     largest = max(report["simulator"], key=lambda r: r["offered_target"])
     if report["config"]["native_available"]:
-        assert largest["native_speedup"] >= NATIVE_FLOOR, (
-            f"native speedup {largest['native_speedup']:.1f}x below "
-            f"{NATIVE_FLOOR:.0f}x floor at {largest['offered_target']:,}"
-        )
+        if not largest["native_speedup"] >= NATIVE_FLOOR:
+            raise AssertionError(
+                f"native speedup {largest['native_speedup']:.1f}x below "
+                f"{NATIVE_FLOOR:.0f}x floor at {largest['offered_target']:,}"
+            )
     else:
-        assert largest["python_speedup"] >= PYTHON_FLOOR, (
-            f"python speedup {largest['python_speedup']:.1f}x below "
-            f"{PYTHON_FLOOR:.0f}x floor at {largest['offered_target']:,}"
-        )
+        if not largest["python_speedup"] >= PYTHON_FLOOR:
+            raise AssertionError(
+                f"python speedup {largest['python_speedup']:.1f}x below "
+                f"{PYTHON_FLOOR:.0f}x floor at {largest['offered_target']:,}"
+            )
     full_day = report.get("fleet_full_day")
     if full_day is not None:
-        assert full_day["offered"] >= 1_000_000, "fleet day below 1M requests"
-        assert full_day["peak_replicas"] >= 1_000, "fleet below 1000 replicas"
+        if full_day["offered"] < 1_000_000:
+            raise AssertionError("fleet day below 1M requests")
+        if full_day["peak_replicas"] < 1_000:
+            raise AssertionError("fleet below 1000 replicas")
 
 
 def render(report: dict) -> str:

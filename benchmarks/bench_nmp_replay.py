@@ -87,7 +87,8 @@ def run_bench(lookups_list: tuple[int, ...] = (100_000, 1_000_000)) -> dict:
             native_s, native_digest = _replay_once(
                 "vectorized", "native", rows, lengths
             )
-            assert native_digest == reference_digest, "native engine diverged"
+            if native_digest != reference_digest:
+                raise AssertionError("native engine diverged")
         results.append(
             {
                 "lookups": int(lookups),
@@ -118,10 +119,11 @@ def check_floors(report: dict) -> None:
     """Assert the speedup floor the engine contract promises."""
     largest = max(report["results"], key=lambda r: r["lookups"])
     if report["config"]["native_available"]:
-        assert largest["native_speedup"] >= NATIVE_FLOOR, (
-            f"native speedup {largest['native_speedup']:.1f}x below "
-            f"{NATIVE_FLOOR:.0f}x floor at {largest['lookups']:,} lookups"
-        )
+        if not largest["native_speedup"] >= NATIVE_FLOOR:
+            raise AssertionError(
+                f"native speedup {largest['native_speedup']:.1f}x below "
+                f"{NATIVE_FLOOR:.0f}x floor at {largest['lookups']:,} lookups"
+            )
 
 
 def render(report: dict) -> str:

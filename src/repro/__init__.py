@@ -10,35 +10,11 @@ Public API highlights:
 * :mod:`repro.data` -- dense/sparse input generators and embedding traces.
 * :mod:`repro.obs` -- request tracing, metrics registry, operator profiling.
 * :mod:`repro.experiments` -- one module per paper figure/table.
-"""
 
-from . import (
-    analysis,
-    config,
-    core,
-    data,
-    experiments,
-    hw,
-    memory,
-    obs,
-    serving,
-    train,
-    validation,
-)
+``import repro`` loads none of them, so each entry point pays only for
+the subpackages it imports.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "analysis",
-    "config",
-    "core",
-    "data",
-    "experiments",
-    "hw",
-    "memory",
-    "obs",
-    "serving",
-    "train",
-    "validation",
-    "__version__",
-]
+__all__ = ["__version__"]

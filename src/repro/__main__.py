@@ -23,35 +23,7 @@ import argparse
 import inspect
 import sys
 
-from .experiments import REGISTRY
-
-#: Experiments ordered cheap-first so `all` gives fast feedback.
-_ORDERED = [
-    "table1",
-    "table2",
-    "figure1",
-    "figure2",
-    "figure4",
-    "figure7",
-    "figure8",
-    "figure9",
-    "figure10",
-    "figure12",
-    "table3",
-    "micro",
-    "configspace",
-    "whatif",
-    "fcaccel",
-    "figure11",
-    "figure11x",
-    "figure11y",
-    "figure11z",
-    "figure14",
-    "fignmp",
-    "figure5",
-    "fleet",
-    "multimodel",
-]
+from .experiments import REGISTRY, load
 
 
 def _run_kwargs(module) -> set[str]:
@@ -60,14 +32,15 @@ def _run_kwargs(module) -> set[str]:
 
 
 def _run_one(exp_id: str, json_path: str | None = None) -> None:
-    from .obs import MetricsRegistry, dumps_result
-
-    module = REGISTRY[exp_id]
+    module = load(exp_id)
     kwargs = {}
     registry = None
-    if json_path is not None and "metrics" in _run_kwargs(module):
-        registry = MetricsRegistry()
-        kwargs["metrics"] = registry
+    if json_path is not None:
+        from .obs import MetricsRegistry, dumps_result
+
+        if "metrics" in _run_kwargs(module):
+            registry = MetricsRegistry()
+            kwargs["metrics"] = registry
     # Deliberately no wall-clock timing here (SC904): every latency this
     # CLI prints is *simulated*; real execution time is the business of
     # benchmarks/ (simbench and the replay benches), and a cosmetic
@@ -107,15 +80,15 @@ def _main_trace(argv: list[str]) -> int:
     )
     args = parser.parse_args(argv)
 
-    module = REGISTRY.get(args.experiment)
-    if module is None:
+    if args.experiment not in REGISTRY:
         print(f"unknown experiment {args.experiment!r}", file=sys.stderr)
         return 2
+    module = load(args.experiment)
     if "tracer" not in _run_kwargs(module):
         traceable = ", ".join(
             exp_id
-            for exp_id in _ORDERED
-            if "tracer" in _run_kwargs(REGISTRY[exp_id])
+            for exp_id in REGISTRY
+            if "tracer" in _run_kwargs(load(exp_id))
         )
         print(
             f"{args.experiment!r} is not instrumented for tracing; "
@@ -169,16 +142,16 @@ def main(argv: list[str] | None = None) -> int:
         print(render_report(checks))
         return 0 if all(c.passed for c in checks) else 1
     if args.experiment == "list":
-        for exp_id in _ORDERED:
-            doc = (REGISTRY[exp_id].__doc__ or "").strip().splitlines()[0]
+        for exp_id in REGISTRY:
+            doc = (load(exp_id).__doc__ or "").strip().splitlines()[0]
             print(f"{exp_id:<10} {doc}")
         return 0
     if args.experiment == "all":
-        for exp_id in _ORDERED:
+        for exp_id in REGISTRY:
             _run_one(exp_id, json_path=None)
         return 0
     if args.experiment not in REGISTRY:
-        valid = ", ".join(_ORDERED)
+        valid = ", ".join(REGISTRY)
         print(f"unknown experiment {args.experiment!r}; valid: {valid}, all, validate, list",
               file=sys.stderr)
         return 2

@@ -7,19 +7,16 @@ multi-GB embedding tables across servers: each shard executes the SLS
 lookups for its tables, pooled vectors travel over the network, and one
 node runs the MLPs and produces the CTR.
 
-:func:`shard_tables` partitions tables greedily by size;
-:func:`distributed_latency` predicts the end-to-end latency: the slowest
-shard's SLS time (shards work in parallel), plus network transfer of the
-pooled embedding vectors, plus the dense compute on the aggregator.
+:func:`shard_tables` partitions tables greedily by size, and
+:func:`min_shards_for_capacity` sizes the shard count to server DRAM.
 
 Shard *fault tolerance* builds on the failure-domain topology
 (:mod:`repro.serving.domains`): :func:`replicate_shards` places ``k``
-copies of every shard across distinct failure domains,
-:func:`distributed_latency` fails over dead primaries to the next live
-copy (one extra network hop per dead copy tried), and when every copy of
-a shard is down the read degrades to a *partial fan-out* whose ranking
-cost :func:`degraded_fanout_quality` prices through the same machinery
-as :class:`~repro.serving.faults.DegradationPolicy`. Lost copies are
+copies of every shard across distinct failure domains, reads fail over
+to the next live copy, and when every copy of a shard is down the read
+degrades to a *partial fan-out* whose ranking cost
+:func:`degraded_fanout_quality` prices through the same machinery as
+:class:`~repro.serving.faults.DegradationPolicy`. Lost copies are
 re-replicated by :func:`recovery_timeline` at ``min(NIC, DRAM)``
 bandwidth on the DES clock — a bulk transfer, not a restart (Kalamkar et
 al., arXiv:2005.04680) — yielding a time-to-full-redundancy metric.
@@ -31,10 +28,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from ..config.model_config import ModelConfig
-from ..core.graph import config_ops
-from ..core.operators.base import OP_SLS
 from ..hw.server import ServerSpec
-from ..hw.timing import TimingModel
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import NullTracer, Tracer, as_tracer
 from .domains import (
@@ -61,10 +55,6 @@ class NetworkConfig:
     def __post_init__(self) -> None:
         if self.rtt_s < 0 or self.bandwidth_bytes_per_s <= 0:
             raise ValueError("invalid network parameters")
-
-    def transfer_s(self, payload_bytes: int) -> float:
-        """Latency to move one payload shard→aggregator."""
-        return self.rtt_s + payload_bytes / self.bandwidth_bytes_per_s
 
 
 @dataclass(frozen=True)
@@ -238,226 +228,6 @@ def replicate_shards(
     return built
 
 
-@dataclass(frozen=True)
-class DistributedLatency:
-    """End-to-end latency of one sharded inference.
-
-    ``failover_hops``/``lost_tables`` stay at their zero defaults unless
-    the read ran against a :class:`ReplicationPlan` with dead copies.
-    """
-
-    model_name: str
-    num_shards: int
-    batch_size: int
-    slowest_shard_seconds: float
-    network_seconds: float
-    dense_seconds: float
-    failover_hops: int = 0
-    lost_tables: tuple[int, ...] = ()
-
-    @property
-    def total_seconds(self) -> float:
-        """Sharded end-to-end latency (shards overlap; network + dense
-        follow the slowest shard)."""
-        return self.slowest_shard_seconds + self.network_seconds + self.dense_seconds
-
-
-def distributed_latency(
-    server: ServerSpec,
-    config: ModelConfig,
-    batch_size: int,
-    plan: ShardPlan,
-    network: NetworkConfig = NetworkConfig(),
-    tracer: Tracer | NullTracer | None = None,
-    replication: ReplicationPlan | None = None,
-    copy_available: Sequence[Sequence[bool]] | None = None,
-) -> DistributedLatency:
-    """Predict sharded-inference latency on homogeneous shard servers.
-
-    With a ``tracer``, the predicted inference is synthesized as one
-    ``serving.shard.fanout`` span starting at t=0 with per-shard
-    ``serving.shard.sls`` children (one track per shard) followed by
-    ``serving.shard.network`` and ``serving.shard.dense`` on the
-    aggregator track — the model's timeline, viewable in Perfetto.
-
-    With a ``replication`` plan, ``copy_available[shard][copy]`` marks
-    which copies are reachable (default all): each shard read walks its
-    copy list, paying one extra ``network.rtt_s`` hop per dead copy
-    tried, and a shard with *no* live copy drops out of the fan-out
-    entirely — its tables are reported in ``lost_tables`` and the
-    quality cost of serving without them is priced by
-    :func:`degraded_fanout_quality`. ``replication=None`` reproduces the
-    unreplicated prediction bit for bit.
-    """
-    timing = TimingModel(server)
-    specs = config_ops(config)
-    sls_specs = [s for s in specs if s.op_type == OP_SLS]
-    if len(sls_specs) != len(plan.table_assignment):
-        raise ValueError(
-            f"plan covers {len(plan.table_assignment)} tables, model has "
-            f"{len(sls_specs)}"
-        )
-
-    # Per-shard SLS time: the shard's own tables determine its hit ratio.
-    shard_seconds = []
-    for shard in range(plan.num_shards):
-        tables = plan.tables_of(shard)
-        if not tables:
-            shard_seconds.append(0.0)
-            continue
-        shard_table_bytes = sum(
-            config.embedding_tables[i].storage_bytes(config.dtype) for i in tables
-        )
-        hit = timing.table_hit_ratio(shard_table_bytes)
-        total = 0.0
-        for i in tables:
-            spec = sls_specs[i]
-            total += timing.sls_time(
-                spec.name,
-                spec.lookups_per_sample,
-                spec.embedding_dim,
-                batch_size,
-                hit_ratio=hit,
-                dtype_bytes=spec.dtype_bytes,
-            ).seconds
-        shard_seconds.append(total)
-
-    # Failover: walk each shard's copy list; every dead copy tried costs
-    # one extra round trip, and a shard with no live copy drops out.
-    failover_hops = [0] * plan.num_shards
-    lost_shards: set[int] = set()
-    if replication is not None:
-        if replication.plan != plan:
-            raise ValueError(
-                "replication plan was built for a different shard plan"
-            )
-        if copy_available is None:
-            copy_available = [
-                [True] * replication.replication_factor
-                for _ in range(plan.num_shards)
-            ]
-        if len(copy_available) != plan.num_shards:
-            raise ValueError("copy_available must cover every shard")
-        for shard in range(plan.num_shards):
-            avail = list(copy_available[shard])
-            if len(avail) != replication.replication_factor:
-                raise ValueError("copy_available must cover every copy")
-            live = [i for i, up in enumerate(avail) if up]
-            if live:
-                failover_hops[shard] = live[0]
-            else:
-                lost_shards.add(shard)
-    lost_tables = tuple(
-        sorted(i for shard in lost_shards for i in plan.tables_of(shard))
-    )
-    shard_path_seconds = [
-        0.0
-        if shard in lost_shards
-        else failover_hops[shard] * network.rtt_s + shard_seconds[shard]
-        for shard in range(plan.num_shards)
-    ]
-
-    # Pooled embedding vectors travel to the aggregator (links in parallel,
-    # so the largest single shard payload bounds the transfer).
-    payloads = []
-    for shard in range(plan.num_shards):
-        if shard in lost_shards:
-            continue
-        dims = sum(sls_specs[i].embedding_dim for i in plan.tables_of(shard))
-        payloads.append(batch_size * dims * 4)
-    network_seconds = (
-        max(network.transfer_s(p) for p in payloads)
-        if plan.num_shards > 1 and payloads
-        else 0.0
-    )
-
-    dense_seconds = sum(
-        timing.op_time(spec, batch_size).seconds
-        for spec in specs
-        if spec.op_type != OP_SLS
-    )
-    result = DistributedLatency(
-        model_name=config.name,
-        num_shards=plan.num_shards,
-        batch_size=batch_size,
-        slowest_shard_seconds=max(shard_path_seconds),
-        network_seconds=network_seconds,
-        dense_seconds=dense_seconds,
-        failover_hops=sum(failover_hops),
-        lost_tables=lost_tables,
-    )
-
-    recorder = as_tracer(tracer)
-    if recorder.enabled:
-        aggregator_track = plan.num_shards
-        recorder.set_track_name(aggregator_track, "aggregator")
-        fanout_id = recorder.begin(
-            "serving.shard.fanout",
-            0.0,
-            track=aggregator_track,
-            num_shards=plan.num_shards,
-            batch_size=batch_size,
-        )
-        for shard, shard_s in enumerate(shard_path_seconds):
-            recorder.set_track_name(shard, f"shard {shard}")
-            recorder.complete(
-                "serving.shard.sls",
-                0.0,
-                shard_s,
-                parent_id=fanout_id,
-                track=shard,
-                tables=len(plan.tables_of(shard)),
-            )
-        if replication is not None:
-            for shard in range(plan.num_shards):
-                if shard in lost_shards:
-                    recorder.instant(
-                        "serving.domains.loss", 0.0, track=shard, shard=shard
-                    )
-                elif failover_hops[shard]:
-                    recorder.instant(
-                        "serving.domains.failover",
-                        0.0,
-                        track=shard,
-                        hops=failover_hops[shard],
-                    )
-        gather_seconds = result.slowest_shard_seconds
-        dense_begin_seconds = gather_seconds + network_seconds
-        if network_seconds > 0:
-            recorder.complete(
-                "serving.shard.network",
-                gather_seconds,
-                dense_begin_seconds,
-                parent_id=fanout_id,
-                track=aggregator_track,
-            )
-        recorder.complete(
-            "serving.shard.dense",
-            dense_begin_seconds,
-            result.total_seconds,
-            parent_id=fanout_id,
-            track=aggregator_track,
-        )
-        recorder.end(fanout_id, result.total_seconds)
-    return result
-
-
-def sharding_sweep(
-    server: ServerSpec,
-    config: ModelConfig,
-    batch_size: int,
-    shard_counts: list[int],
-    network: NetworkConfig = NetworkConfig(),
-) -> list[DistributedLatency]:
-    """Latency across shard counts (the scaling curve)."""
-    return [
-        distributed_latency(
-            server, config, batch_size, shard_tables(config, n), network
-        )
-        for n in shard_counts
-    ]
-
-
 # ------------------------------------------------- partial fan-out quality
 
 
@@ -603,16 +373,6 @@ class RecoveryTimeline:
     def copy_is_down(self, shard: int, copy_index: int, t_s: float) -> bool:
         """True while the copy is crashed, partitioned or re-streaming."""
         return _covers(self.copy_down_intervals[shard][copy_index], t_s)
-
-    def availability_at(self, t_s: float) -> tuple[tuple[bool, ...], ...]:
-        """``copy_available`` matrix for :func:`distributed_latency`."""
-        return tuple(
-            tuple(
-                not self.copy_is_down(shard, copy_index, t_s)
-                for copy_index in range(self.replication.replication_factor)
-            )
-            for shard in range(self.replication.plan.num_shards)
-        )
 
     def service_segments(self, horizon_s: float) -> tuple[ServiceSegment, ...]:
         """Piecewise-constant serving state over ``[0, horizon_s)``.

@@ -1,16 +1,17 @@
-"""SC601 experiment-registry: figure/table modules expose the common API.
+"""SC601 experiment-registry: experiment modules expose the common API.
 
-Every ``experiments/fig*.py`` / ``experiments/table*.py`` module is driven
-by the CLI (``python -m repro <id>``) and the tests through one convention:
+Every ``experiments/*.py`` module other than ``__init__`` is driven by the
+CLI (``python -m repro <id>``) and the tests through one convention:
 
 * a top-level ``run(...)`` whose parameters ALL have defaults, so
   ``module.run()`` regenerates the figure with the paper's configuration;
 * a top-level ``render(result)`` turning the result into text;
-* an entry in ``experiments/__init__.py``'s ``REGISTRY`` so harnesses can
-  enumerate it.
+* an entry in ``experiments/__init__.py``'s ``REGISTRY`` (id → module
+  name string) so harnesses can enumerate it.
 
 A module that drifts from the convention silently disappears from full
-regeneration runs — exactly the kind of rot this checker exists to stop.
+regeneration runs, and a ``REGISTRY`` value naming no module fails only
+when that id is run — exactly the kind of rot this checker exists to stop.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ from ..engine import ModuleInfo, Project, Rule, Violation
 
 def _is_experiment_file(module: ModuleInfo) -> bool:
     path = Path(module.relpath)
-    if path.parent.name != "experiments":
-        return False
-    return path.name.startswith(("fig", "table")) and path.name != "__init__.py"
+    return (
+        path.parent.name == "experiments"
+        and path.suffix == ".py"
+        and path.name != "__init__.py"
+    )
 
 
 def _toplevel_function(tree: ast.Module, name: str) -> ast.FunctionDef | None:
@@ -48,12 +51,31 @@ def _all_params_defaulted(fn: ast.FunctionDef) -> bool:
     return True
 
 
+def _registry(project: Project) -> tuple[ModuleInfo, list[ast.Constant]] | None:
+    """experiments/__init__.py and the module-name strings its
+    ``REGISTRY`` dict maps ids to; None when there is no such dict."""
+    init = project.by_relpath("experiments/__init__.py")
+    if init is None:
+        return None
+    for node in ast.walk(init.tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if "REGISTRY" in targets and isinstance(node.value, ast.Dict):
+            return init, [
+                value
+                for value in node.value.values
+                if isinstance(value, ast.Constant) and isinstance(value.value, str)
+            ]
+    return None
+
+
 class ExperimentRegistryRule(Rule):
     id = "SC601"
     name = "experiment-registry"
     description = (
-        "experiments/fig*.py and table*.py must expose run() (all params "
-        "defaulted) and render(result), and be listed in REGISTRY"
+        "experiments/*.py must expose run() (all params defaulted) and "
+        "render(result), and be listed in REGISTRY by module name"
     )
 
     def check_project(self, project: Project) -> Iterator[Violation]:
@@ -61,7 +83,10 @@ class ExperimentRegistryRule(Rule):
         if not experiment_modules:
             return
 
-        registered = self._registry_entries(project)
+        registry = _registry(project)
+        registered = (
+            None if registry is None else {value.value for value in registry[1]}
+        )
 
         for module in experiment_modules:
             module_name = Path(module.relpath).stem
@@ -102,22 +127,15 @@ class ExperimentRegistryRule(Rule):
                     "experiments/__init__.py REGISTRY",
                 )
 
-    def _registry_entries(self, project: Project) -> set[str] | None:
-        """Module names registered in experiments/__init__.py, if present."""
-        init = project.by_relpath("experiments/__init__.py")
-        if init is None:
-            return None
-        for node in ast.walk(init.tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "REGISTRY" not in targets or not isinstance(node.value, ast.Dict):
-                continue
-            entries: set[str] = set()
-            for value in node.value.values:
-                if isinstance(value, ast.Name):
-                    entries.add(value.id)
-                elif isinstance(value, ast.Attribute):
-                    entries.add(value.attr)
-            return entries
-        return None
+        if registry is None:
+            return
+        init, values = registry
+        module_names = {Path(m.relpath).stem for m in experiment_modules}
+        for value in values:
+            if value.value not in module_names:
+                yield self.violation(
+                    init,
+                    value,
+                    f"REGISTRY names module {value.value!r}, but there is no "
+                    f"experiments/{value.value}.py",
+                )

@@ -6,12 +6,17 @@ synthetic reports: no timing happens in tier-1.
 """
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
+REPO_DIR = Path(__file__).resolve().parent.parent
+BENCH_DIR = REPO_DIR / "benchmarks"
 
 
 def load_bench(name: str):
@@ -127,3 +132,77 @@ class TestDesReplayFloor:
     def test_accepts_floors(self, bench):
         bench.check_floors(self.report(bench.NATIVE_FLOOR, bench.PYTHON_FLOOR))
         bench.check_floors(self.report(None, bench.PYTHON_FLOOR))
+
+
+# ``python -O`` strips ``assert`` statements; the floors must still hold.
+_CHECK_UNDER_O = """
+import importlib.util, json, sys
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+spec = importlib.util.spec_from_file_location("bench", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+try:
+    module.check_floors(json.loads(sys.argv[2]))
+except AssertionError as exc:
+    print(exc)
+    sys.exit(0)
+sys.exit("check_floors accepted a report below its floor")
+"""
+
+
+def _below_floor_reports():
+    cache, nmp, des = (load_bench(n) for n in ("cache", "nmp", "des"))
+    des_report = TestDesReplayFloor().report
+    return [
+        pytest.param(
+            "cache",
+            TestCacheReplayFloor().report(just_below(cache.NATIVE_FLOOR)),
+            id="cache",
+        ),
+        pytest.param(
+            "nmp",
+            TestNmpReplayFloor().report(just_below(nmp.NATIVE_FLOOR)),
+            id="nmp",
+        ),
+        pytest.param(
+            "des",
+            des_report(just_below(des.NATIVE_FLOOR), des.PYTHON_FLOOR),
+            id="des",
+        ),
+        pytest.param(
+            "des",
+            des_report(None, just_below(des.PYTHON_FLOOR)),
+            id="des-python",
+        ),
+        pytest.param(
+            "des",
+            des_report(des.NATIVE_FLOOR, des.PYTHON_FLOOR, offered=999_999),
+            id="des-fleet",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("name,report", _below_floor_reports())
+def test_floor_holds_under_optimize(name, report):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_DIR / "src"), env.get("PYTHONPATH")])
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            _CHECK_UNDER_O,
+            str(BENCH_DIR / f"bench_{name}_replay.py"),
+            json.dumps(report),
+        ],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "below" in proc.stdout

@@ -6,10 +6,8 @@ from repro.config import RMC1_SMALL, RMC2_SMALL
 from repro.hw import BROADWELL
 from repro.serving import (
     NetworkConfig,
-    distributed_latency,
     min_shards_for_capacity,
     shard_tables,
-    sharding_sweep,
 )
 
 
@@ -80,57 +78,6 @@ class TestCapacityPlanning:
 
 
 class TestDistributedLatency:
-    def test_sharding_reduces_sls_time(self):
-        results = sharding_sweep(BROADWELL, RMC2_SMALL, 32, [1, 2, 4, 10])
-        sls_times = [r.slowest_shard_seconds for r in results]
-        assert sls_times == sorted(sls_times, reverse=True)
-        assert sls_times[-1] < 0.3 * sls_times[0]
-
-    def test_single_shard_has_no_network(self):
-        result = distributed_latency(
-            BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 1)
-        )
-        assert result.network_seconds == 0.0
-
-    def test_network_cost_appears_with_shards(self):
-        result = distributed_latency(
-            BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 4)
-        )
-        assert result.network_seconds > 0
-
-    def test_diminishing_returns(self):
-        """Beyond enough shards, network + dense compute dominate."""
-        results = sharding_sweep(BROADWELL, RMC2_SMALL, 32, [1, 2, 4, 10, 20])
-        total = [r.total_seconds for r in results]
-        assert total[1] < total[0]
-        gain_first = total[0] / total[1]
-        gain_last = total[-2] / total[-1]
-        assert gain_first > gain_last
-
-    def test_sharding_can_unlock_cache_residency(self):
-        """Each shard holds a slice of the tables; small enough slices
-        become LLC-resident, compounding the win."""
-        one = distributed_latency(BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 1))
-        many = distributed_latency(
-            BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 20)
-        )
-        assert many.total_seconds < one.total_seconds
-
-    def test_slow_network_erases_the_win(self):
-        slow = NetworkConfig(rtt_s=0.050, bandwidth_bytes_per_s=1e6)
-        result = distributed_latency(
-            BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 4), slow
-        )
-        single = distributed_latency(
-            BROADWELL, RMC2_SMALL, 32, shard_tables(RMC2_SMALL, 1)
-        )
-        assert result.total_seconds > single.total_seconds
-
-    def test_rejects_mismatched_plan(self):
-        plan = shard_tables(RMC1_SMALL, 2)
-        with pytest.raises(ValueError):
-            distributed_latency(BROADWELL, RMC2_SMALL, 32, plan)
-
     def test_rejects_bad_network(self):
         with pytest.raises(ValueError):
             NetworkConfig(rtt_s=-1)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments import (
     REGISTRY,
+    load,
     fig01_cycles,
     fig02_flops_bytes,
     fig04_operator_cycles,
@@ -32,7 +33,8 @@ class TestRegistry:
         assert set(REGISTRY) == expected
 
     def test_every_module_has_run_and_render(self):
-        for module in REGISTRY.values():
+        for exp_id in REGISTRY:
+            module = load(exp_id)
             assert callable(module.run)
             assert callable(module.render)
 
@@ -247,7 +249,7 @@ class TestRenderAll:
          "figure10", "figure12", "table1", "table2", "table3", "micro"],
     )
     def test_render_produces_text(self, exp_id):
-        module = REGISTRY[exp_id]
+        module = load(exp_id)
         text = module.render(module.run())
         assert isinstance(text, str)
         assert len(text) > 50

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.config import presets
 from repro.experiments import fig11x_faults
 from repro.hw.server import BROADWELL
@@ -24,11 +22,6 @@ from repro.obs import (
     flight_report,
     to_chrome,
     validate_chrome,
-)
-from repro.serving.distributed import (
-    NetworkConfig,
-    distributed_latency,
-    shard_tables,
 )
 from repro.serving.simulator import ServingSimulator
 from repro.__main__ import main
@@ -119,28 +112,6 @@ class TestSimulatorTracing:
         plain = self._run()
         assert plain.records == traced.records
         assert tracer.spans  # the traced run actually recorded something
-
-
-class TestDistributedTracing:
-    def test_fanout_timeline_matches_result(self):
-        config = presets.RMC2_SMALL
-        plan = shard_tables(config, num_shards=2)
-        tracer = Tracer()
-        traced = distributed_latency(
-            BROADWELL, config, batch_size=4, plan=plan,
-            network=NetworkConfig(), tracer=tracer,
-        )
-        plain = distributed_latency(
-            BROADWELL, config, batch_size=4, plan=plan, network=NetworkConfig()
-        )
-        assert traced == plain
-        assert validate_chrome(to_chrome(tracer)) == []
-        fanout = next(
-            s for s in tracer.spans if s.name == "serving.shard.fanout"
-        )
-        assert fanout.end_s == pytest.approx(traced.total_seconds)
-        shards = [s for s in tracer.spans if s.name == "serving.shard.sls"]
-        assert len(shards) == plan.num_shards
 
 
 class TestCli:

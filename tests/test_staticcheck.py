@@ -434,10 +434,12 @@ _GOOD_EXPERIMENT = """
 """
 
 
-def _write_experiment(tmp_path: Path, body: str, registry: str) -> Path:
+def _write_experiment(
+    tmp_path: Path, body: str, registry: str, name: str = "fig99_fixture"
+) -> Path:
     exp = tmp_path / "experiments"
     exp.mkdir()
-    (exp / "fig99_fixture.py").write_text(textwrap.dedent(body))
+    (exp / f"{name}.py").write_text(textwrap.dedent(body))
     (exp / "__init__.py").write_text(textwrap.dedent(registry))
     return tmp_path
 
@@ -447,11 +449,7 @@ class TestExperimentRegistry:
         _write_experiment(
             tmp_path,
             _GOOD_EXPERIMENT,
-            """
-            from . import fig99_fixture
-
-            REGISTRY = {"figure99": fig99_fixture}
-            """,
+            'REGISTRY = {"figure99": "fig99_fixture"}\n',
         )
         project = load_project([tmp_path], root=tmp_path)
         assert run_checks(project, select_rules(["SC601"])) == []
@@ -460,11 +458,7 @@ class TestExperimentRegistry:
         _write_experiment(
             tmp_path,
             "VALUE = 1\n",
-            """
-            from . import fig99_fixture
-
-            REGISTRY = {"figure99": fig99_fixture}
-            """,
+            'REGISTRY = {"figure99": "fig99_fixture"}\n',
         )
         project = load_project([tmp_path], root=tmp_path)
         messages = [v.message for v in run_checks(project, select_rules(["SC601"]))]
@@ -481,11 +475,7 @@ class TestExperimentRegistry:
             def render(result):
                 return str(result)
             """,
-            """
-            from . import fig99_fixture
-
-            REGISTRY = {"figure99": fig99_fixture}
-            """,
+            'REGISTRY = {"figure99": "fig99_fixture"}\n',
         )
         project = load_project([tmp_path], root=tmp_path)
         violations = run_checks(project, select_rules(["SC601"]))
@@ -498,6 +488,29 @@ class TestExperimentRegistry:
         violations = run_checks(project, select_rules(["SC601"]))
         assert len(violations) == 1
         assert "missing from" in violations[0].message
+
+    def test_unregistered_non_figure_module_flagged(self, tmp_path):
+        # Modules outside the fig*/table* naming (whatif_memory,
+        # fleet_day, ...) are experiments too.
+        _write_experiment(
+            tmp_path, _GOOD_EXPERIMENT, "REGISTRY = {}\n", name="whatif_fixture"
+        )
+        project = load_project([tmp_path], root=tmp_path)
+        violations = run_checks(project, select_rules(["SC601"]))
+        assert len(violations) == 1
+        assert "'whatif_fixture' is missing from" in violations[0].message
+
+    def test_dangling_registry_value_flagged(self, tmp_path):
+        _write_experiment(
+            tmp_path,
+            _GOOD_EXPERIMENT,
+            'REGISTRY = {"figure99": "fig99_fixture", "gone": "fig98_gone"}\n',
+        )
+        project = load_project([tmp_path], root=tmp_path)
+        violations = run_checks(project, select_rules(["SC601"]))
+        assert len(violations) == 1
+        assert "'fig98_gone'" in violations[0].message
+        assert violations[0].path.endswith("__init__.py")
 
 
 # --------------------------------------------------------------------- SC801
